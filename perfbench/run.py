@@ -1,6 +1,6 @@
 """End-to-end and per-module benchmark of tracelab.
 
-    python3 perfbench/run.py --workload cover_worst_start --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload walk_cover --seed 1 --seconds 50 --trace 0
 
 Run from the repository root; tracelab is imported from ``src/`` without an
 install. The run:
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--setup-child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

@@ -102,8 +102,9 @@ def _self_times(spans: list[list]) -> list[float]:
 
 
 def _tail(values: list[float]) -> float:
-    """Highest order statistic with at least ten values above it."""
-    if len(values) < 11:
+    """Highest order statistic with at least ten values above it; 0 below
+    forty values, where that statistic would be no tail."""
+    if len(values) < 40:
         return 0.0
     return sorted(values)[len(values) - 11]
 
