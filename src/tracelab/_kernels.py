@@ -3,7 +3,7 @@
 Everything here is written against plain numpy arrays with explicit integer
 types so the exact same source compiles under ``@njit`` and runs interpreted.
 Integer-valued kernels (walks, shuffles, searches) are bit-identical on both
-paths. Float-valued kernels (Jacobi sweeps, matvec) match to roundoff only.
+paths. The float-valued matvec matches to roundoff only.
 
 RNG: xoshiro256++ streams. A stream is addressed by ``(seed, index)``; its
 state is four splitmix64 outputs seeded at ``seed + GOLDEN * (index + 1)``.
@@ -104,26 +104,34 @@ def stream_state(seed: int, index: int) -> np.ndarray:
     return s
 
 
+@kernel
+def draw_uints(state, count):
+    """Next ``count`` raw uint64 outputs of ``state``, advancing it."""
+    out = np.empty(count, dtype=np.uint64)
+    for i in range(count):
+        out[i] = _next64(state)
+    return out
+
+
+@kernel
+def draw_ints(state, bound, count):
+    """Next ``count`` uniform draws from [0, bound) on ``state``, advancing it."""
+    out = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        out[i] = _randint(state, np.int64(bound))
+    return out
+
+
 def stream_uints(seed: int, index: int, count: int) -> np.ndarray:
     """First ``count`` raw uint64 outputs of stream ``(seed, index)``."""
-    s = stream_state(seed, index)
-    out = np.empty(count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for i in range(count):
-            out[i] = _next64(s)
-    return out
+    return draw_uints(stream_state(seed, index), count)
 
 
 def stream_ints(seed: int, index: int, count: int, bound: int) -> np.ndarray:
     """``count`` iid uniform draws from [0, bound) on stream ``(seed, index)``."""
     if bound <= 0:
         raise ValueError("bound must be positive")
-    s = stream_state(seed, index)
-    out = np.empty(count, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        for i in range(count):
-            out[i] = _randint(s, np.int64(bound))
-    return out
+    return draw_ints(stream_state(seed, index), bound, count)
 
 
 def stream_floats(seed: int, index: int, count: int) -> np.ndarray:
@@ -315,66 +323,6 @@ def adj_matvec(indptr, indices, x, out):
         for k in range(indptr[i], indptr[i + 1]):
             acc += x[indices[k]]
         out[i] = acc
-
-
-@kernel_inner
-def _offdiag_sq(A):
-    """Frobenius mass off the diagonal, summed from nonnegative terms."""
-    n = A.shape[0]
-    b = A.copy()
-    for i in range(n):
-        b[i, i] = 0.0
-    return (b * b).sum()
-
-
-@kernel
-def jacobi_eigvalues(A, tol, max_sweeps):
-    """Cyclic Jacobi diagonalization of a symmetric matrix, in place.
-
-    Sweeps rotate every off-diagonal pair; after each sweep the off-diagonal
-    Frobenius mass is compared against ``tol`` times the full Frobenius norm.
-    Eigenvalues accumulate on the diagonal. Returns ``(sweeps, off_norm)``.
-    """
-    n = A.shape[0]
-    fro = np.sqrt((A * A).sum())
-    if fro == 0.0:
-        return np.int64(0), 0.0
-    off = 0.0
-    for sweep in range(max_sweeps):
-        # sum the off-diagonal squares directly: subtracting the diagonal
-        # mass from the total cancels catastrophically once off << fro
-        off = np.sqrt(_offdiag_sq(A))
-        if off <= tol * fro:
-            return np.int64(sweep), off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                if theta != 0.0:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s_ = t * c
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - s_ * rowq
-                A[q, :] = s_ * rowp + c * rowq
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - s_ * colq
-                A[:, q] = s_ * colp + c * colq
-                # closed forms beat the doubly-rotated slots for roundoff
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-    off = np.sqrt(_offdiag_sq(A))
-    return np.int64(max_sweeps), off
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels as K
 from .graphs import (Graph, GraphError, VertexSet, connectivity_profile,
-                     edges_between, internal_edges)
+                     edges_between, internal_edges, neighbor_masks, popcounts)
 from .spectral import resistance_matrix
 
 
@@ -339,24 +339,6 @@ class MixingCheckReport:
         }
 
 
-def _popcounts(top: int) -> np.ndarray:
-    a = np.arange(top, dtype=np.uint32)
-    a = a - ((a >> 1) & np.uint32(0x55555555))
-    a = (a & np.uint32(0x33333333)) + ((a >> 2) & np.uint32(0x33333333))
-    a = (a + (a >> 4)) & np.uint32(0x0F0F0F0F)
-    return ((a * np.uint32(0x01010101)) >> 24).astype(np.int64)
-
-
-def _neighbor_masks(g: Graph) -> np.ndarray:
-    nbr = np.zeros(g.n, dtype=np.int64)
-    for v in range(g.n):
-        acc = 0
-        for w in g.neighbors(v):
-            acc |= 1 << int(w)
-        nbr[v] = acc
-    return nbr
-
-
 def expander_mixing_check(g: Graph, lam: float, mode: str = "exact",
                           samples: int = 64, seed: int = 0,
                           slack: float = 1e-9) -> MixingCheckReport:
@@ -380,11 +362,11 @@ def expander_mixing_check(g: Graph, lam: float, mode: str = "exact",
         if n > _EXACT_MIXING_LIMIT:
             raise BudgetError(f"exact mixing sweep capped at n = {_EXACT_MIXING_LIMIT}")
         top = 1 << n
-        pop16 = _popcounts(1 << min(n, 16))
-        nbr = _neighbor_masks(g)
+        pop16 = popcounts(1 << min(n, 16))
+        nbr = np.array(neighbor_masks(g), dtype=np.int64)
         e = np.zeros(top, dtype=np.int64)
         K.subset_edge_counts(nbr, np.int64(n), pop16, e)
-        sizes = _popcounts(top)[: top]
+        sizes = popcounts(top)
         s = sizes[1:].astype(np.float64)
         dev = np.abs(e[1:].astype(np.float64) - d * s * s / (2.0 * n))
         allow = lam * s / 2.0

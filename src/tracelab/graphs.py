@@ -214,6 +214,26 @@ def neighborhood(g: Graph, s: VertexSet) -> VertexSet:
     return VertexSet(n=g.n, members=tuple(int(v) for v in out[keep]))
 
 
+def neighbor_masks(g: Graph) -> list[int]:
+    """Adjacency bitmask of every vertex: bit w of entry v is set when v ~ w."""
+    out = []
+    for v in range(g.n):
+        acc = 0
+        for w in g.neighbors(v):
+            acc |= 1 << int(w)
+        out.append(acc)
+    return out
+
+
+def popcounts(top: int) -> np.ndarray:
+    """Set-bit count of every mask in [0, top), as int64; top <= 2**32."""
+    a = np.arange(top, dtype=np.uint32)
+    a = a - ((a >> 1) & np.uint32(0x55555555))
+    a = (a & np.uint32(0x33333333)) + ((a >> 2) & np.uint32(0x33333333))
+    a = (a + (a >> 4)) & np.uint32(0x0F0F0F0F)
+    return ((a * np.uint32(0x01010101)) >> 24).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # edge-list text format
 # ---------------------------------------------------------------------------

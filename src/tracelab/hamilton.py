@@ -16,7 +16,8 @@ import numpy as np
 from . import _accel
 from . import _kernels as K
 from .bounds import BudgetError
-from .graphs import Graph, GraphError, connectivity_profile
+from .graphs import (Graph, GraphError, connectivity_profile, neighbor_masks,
+                     popcounts)
 from .walks import WalkTrace, simulate_walk, trace_graph, trace_prefix_graph
 
 _DP_LIMIT = 24
@@ -58,16 +59,6 @@ class ExpanderCheck:
         }
 
 
-def _bitmask_neighbors(g: Graph) -> list[int]:
-    out = []
-    for v in range(g.n):
-        acc = 0
-        for w in g.neighbors(v):
-            acc |= 1 << int(w)
-        out.append(acc)
-    return out
-
-
 def _mask_of(vertices) -> int:
     acc = 0
     for v in vertices:
@@ -88,7 +79,7 @@ def check_expansion(g: Graph, c: float, mode: str = "exact", samples: int = 64,
         raise GraphError("c must be >= 1")
     n = g.n
     cap = int(math.floor(n / (2.0 * c)))
-    nbr = _bitmask_neighbors(g)
+    nbr = neighbor_masks(g)
     if mode == "exact":
         total = sum(math.comb(n, s) for s in range(1, cap + 1))
         if total > budget:
@@ -148,7 +139,7 @@ def check_joinedness(g: Graph, c: float, mode: str = "exact", samples: int = 64,
     if c < 1.0:
         raise GraphError("c must be >= 1")
     n = g.n
-    nbr = _bitmask_neighbors(g)
+    nbr = neighbor_masks(g)
     if mode == "exact":
         size = int(math.floor(n / (2.0 * c)))
         if size < 1:
@@ -278,13 +269,8 @@ def _ham_dp_numpy(nbr: np.ndarray, n: int) -> np.ndarray:
     size = 1 << n
     dp = np.zeros(size, dtype=np.uint32)
     dp[1] = 1
-    masks = np.arange(size, dtype=np.uint32)
-    pc = masks - ((masks >> np.uint32(1)) & np.uint32(0x55555555))
-    pc = (pc & np.uint32(0x33333333)) + ((pc >> np.uint32(2)) & np.uint32(0x33333333))
-    pc = (pc + (pc >> np.uint32(4))) & np.uint32(0x0F0F0F0F)
-    pc = ((pc * np.uint32(0x01010101)) >> np.uint32(24)).astype(np.int64)
     odd = np.arange(1, size, 2, dtype=np.int64)
-    odd_pc = pc[odd]
+    odd_pc = popcounts(size)[odd]
     for layer in range(2, n + 1):
         lm = odd[odd_pc == layer]
         if lm.size == 0:
@@ -322,9 +308,7 @@ def _reconstruct_cycle(dp: np.ndarray, nbr: np.ndarray, n: int) -> list[int]:
 
 def _exact_dp(g: Graph) -> CycleResult:
     n = g.n
-    nbr = np.zeros(n, dtype=np.int64)
-    for v, mask in enumerate(_bitmask_neighbors(g)):
-        nbr[v] = mask
+    nbr = np.array(neighbor_masks(g), dtype=np.int64)
     dp = np.zeros(1 << n, dtype=np.uint32)
     if _accel.NUMBA_ENABLED:
         K.ham_dp(nbr, np.int64(n), dp)
@@ -346,7 +330,7 @@ def _exact_branch_bound(g: Graph, budget: int) -> CycleResult:
     rank = {v: i for i, v in enumerate(by_degree)}
     adj = [sorted((int(w) for w in g.neighbors(v)), key=lambda w: rank[w])
            for v in range(n)]
-    nbrmask = _bitmask_neighbors(g)
+    nbrmask = neighbor_masks(g)
     full = (1 << n) - 1
 
     def feasible(visited: int, end: int) -> bool:

@@ -29,8 +29,9 @@ from .bounds import cover_time_spectral_bound, exact_binomial_ci
 from .generate import GenSpec
 from .graphs import Graph, GraphError
 from .hamilton import certify_expander, hamiltonian_posa, tau_times
-from .walks import (blanket_trial, cover_trial, return_probe_trial,
-                    simulate_walk, start_pool, trace_graph, visits_trial)
+from .walks import (blanket_trial, cover_trial, rank_starts,
+                    return_probe_trial, simulate_walk, start_pool,
+                    trace_graph, visits_trial)
 
 EXPERIMENTS = (
     "cover", "strong_cover", "blanket", "visits", "return_probe",
@@ -276,19 +277,26 @@ def load_config(path) -> ExperimentConfig:
 def _derived_seeds(seed: int, unit: int, n: int) -> tuple[int, int, int]:
     """Per-trial (graph_seed, walk_seed, start) from the auxiliary stream."""
     state = K.stream_state(seed, K.AUX_STREAM + unit)
-    with np.errstate(over="ignore"):
-        gseed = int(K._next64(state))
-        wseed = int(K._next64(state))
-        start = int(K._randint(state, np.int64(n)))
+    gseed, wseed = (int(x) for x in K.draw_uints(state, 2))
+    start = int(K.draw_ints(state, n, 1)[0])
     return gseed, wseed, start
 
 
-def _unit_count(cfg: ExperimentConfig, g: Graph | None) -> int:
+def _run_pool(cfg: ExperimentConfig, g: Graph | None) -> tuple[int, ...] | None:
+    """Start pool shared by the run's units: worst-start cover walks from
+    every pool vertex, strong_cover cycles through the pool."""
+    if cfg.experiment == "cover" and cfg.params.get("worst_start"):
+        return start_pool(g, cfg.seed, sample=int(cfg.params.get("sample_starts", 32)))
+    if cfg.experiment == "strong_cover":
+        return start_pool(g, cfg.seed)
+    return None
+
+
+def _unit_count(cfg: ExperimentConfig, pool: tuple[int, ...] | None) -> int:
     if cfg.experiment == "bounds_sweep":
         grid = cfg.params.get("ratios") or cfg.params.get("lambdas")
         return len(grid)
-    if cfg.experiment == "cover" and cfg.params.get("worst_start"):
-        pool = start_pool(g, cfg.seed, sample=int(cfg.params.get("sample_starts", 32)))
+    if cfg.experiment == "cover" and pool is not None:
         return len(pool) * cfg.trials
     return cfg.trials
 
@@ -306,7 +314,8 @@ def _bounds_sweep_row(cfg: ExperimentConfig, unit: int) -> list:
     return [n, d, lam, eps, sb.h_lower, sb.h_upper, sb.cover_upper]
 
 
-def _unit_row(cfg: ExperimentConfig, g: Graph | None, unit: int) -> list:
+def _unit_row(cfg: ExperimentConfig, g: Graph | None,
+              pool: tuple[int, ...] | None, unit: int) -> list:
     exp = cfg.experiment
     p = cfg.params
     if exp == "bounds_sweep":
@@ -314,8 +323,7 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None, unit: int) -> list:
 
     if exp in ("cover", "counterexample"):
         budget = p.get("budget")
-        if cfg.params.get("worst_start"):
-            pool = start_pool(g, cfg.seed, sample=int(p.get("sample_starts", 32)))
+        if pool is not None:
             start = pool[unit // cfg.trials]
         else:
             start = p.get("start", 0 if exp == "counterexample" else None)
@@ -324,7 +332,6 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None, unit: int) -> list:
 
     if exp == "strong_cover":
         length = cfg.resolve_length(g.n)
-        pool = start_pool(g, cfg.seed)
         start = pool[unit % len(pool)]
         v, cover = cover_trial(g, cfg.seed, unit, budget=length, start=start)
         return [unit, v, int(cover >= 0), cover if cover >= 0 else None]
@@ -385,11 +392,9 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None, unit: int) -> list:
     raise ConfigError(f"unhandled experiment {exp}")
 
 
-def _row_range(cfg: ExperimentConfig, lo: int, hi: int) -> list[list]:
-    g = None
-    if cfg.experiment != "bounds_sweep" and cfg.experiment not in _DERIVED_GRAPH_SEED:
-        g = cfg.graph_spec().build()
-    return [_unit_row(cfg, g, unit) for unit in range(lo, hi)]
+def _row_range(cfg: ExperimentConfig, g: Graph | None, pool: tuple[int, ...] | None,
+               lo: int, hi: int) -> list[list]:
+    return [_unit_row(cfg, g, pool, unit) for unit in range(lo, hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +422,13 @@ def summarize(experiment: str, rows: list[list]) -> dict[str, Any]:
             out["stderr"] = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
             out["min"] = int(arr.min())
             out["max"] = int(arr.max())
-        by_start: dict[int, list[int]] = {}
-        for v, s in zip(_col(rows, columns, "start"), _col(rows, columns, "cover_step")):
-            if s is not None:
-                by_start.setdefault(int(v), []).append(int(s))
-        if by_start:
-            means = {v: float(np.mean(s)) for v, s in by_start.items()}
-            worst = max(means, key=lambda v: (means[v], v))
+        if rows:
+            _, worst, worst_mean = rank_starts(
+                _col(rows, columns, "start"),
+                [-1 if s is None else s for s in _col(rows, columns, "cover_step")])
             out["worst_start"] = worst
-            out["worst_start_mean"] = means[worst]
+            # null when the worst start never covered, so a max_ check fails
+            out["worst_start_mean"] = None if math.isnan(worst_mean) else worst_mean
     elif experiment == "strong_cover":
         covered = sum(_col(rows, columns, "covered"))
         out["covered"] = covered
@@ -527,16 +530,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     g = None
     if cfg.experiment != "bounds_sweep" and cfg.experiment not in _DERIVED_GRAPH_SEED:
         g = cfg.graph_spec().build()
-    units = _unit_count(cfg, g)
+    pool = _run_pool(cfg, g)
+    units = _unit_count(cfg, pool)
     if workers <= 1 or units <= 1:
-        rows = _row_range(cfg, 0, units)
+        rows = _row_range(cfg, g, pool, 0, units)
     else:
         chunk = (units + workers - 1) // workers
         spans = [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
         rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_row_range, [cfg] * len(spans),
-                                 [s[0] for s in spans], [s[1] for s in spans]):
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            for part in executor.map(_row_range, [cfg] * len(spans), [g] * len(spans),
+                                     [pool] * len(spans),
+                                     [s[0] for s in spans], [s[1] for s in spans]):
                 rows.extend(part)
     stats = summarize(cfg.experiment, rows)
     if cfg.experiment == "counterexample":

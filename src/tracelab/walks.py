@@ -160,6 +160,18 @@ def min_visit_ratio(trace: WalkTrace) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _trial_start(g: Graph, seed: int, unit: int, start: int | None
+                 ) -> tuple[np.ndarray, int]:
+    """State of stream ``(seed, unit)`` and the trial's start vertex: drawn
+    uniformly from the stream when ``start`` is None, else checked."""
+    state = K.stream_state(seed, unit)
+    if start is None:
+        start = int(K.draw_ints(state, g.n, 1)[0])
+    else:
+        _check_start(g, start)
+    return state, start
+
+
 def cover_trial(g: Graph, seed: int, unit: int, budget: int | None = None,
                 start: int | None = None) -> tuple[int, int]:
     """One cover trial on stream ``(seed, unit)``.
@@ -170,12 +182,7 @@ def cover_trial(g: Graph, seed: int, unit: int, budget: int | None = None,
     """
     if budget is None:
         budget = default_budget(g.n)
-    state = K.stream_state(seed, unit)
-    if start is None:
-        with np.errstate(over="ignore"):
-            start = int(K._randint(state, np.int64(g.n)))
-    else:
-        _check_start(g, start)
+    state, start = _trial_start(g, seed, unit, start)
     visits = np.zeros(g.n, dtype=np.int64)
     cover, _, _ = K.walk_stats(g.indptr, g.indices, np.int64(start), np.int64(budget),
                                0.0, np.int64(1), state, visits)
@@ -191,12 +198,7 @@ def blanket_trial(g: Graph, seed: int, unit: int, delta: float,
         raise GraphError("delta must be in (0, 1)")
     if budget is None:
         budget = 4 * default_budget(g.n)
-    state = K.stream_state(seed, unit)
-    if start is None:
-        with np.errstate(over="ignore"):
-            start = int(K._randint(state, np.int64(g.n)))
-    else:
-        _check_start(g, start)
+    state, start = _trial_start(g, seed, unit, start)
     visits = np.zeros(g.n, dtype=np.int64)
     cover, blanket, _ = K.walk_stats(g.indptr, g.indices, np.int64(start),
                                      np.int64(budget), float(delta), np.int64(2),
@@ -211,12 +213,7 @@ def visits_trial(g: Graph, seed: int, unit: int, length: int,
     the walk failed to cover."""
     if length < 0:
         raise GraphError("length must be >= 0")
-    state = K.stream_state(seed, unit)
-    if start is None:
-        with np.errstate(over="ignore"):
-            start = int(K._randint(state, np.int64(g.n)))
-    else:
-        _check_start(g, start)
+    state, start = _trial_start(g, seed, unit, start)
     visits = np.zeros(g.n, dtype=np.int64)
     cover, _, _ = K.walk_stats(g.indptr, g.indices, np.int64(start), np.int64(length),
                                0.0, np.int64(0), state, visits)
@@ -282,6 +279,26 @@ def _aggregate(values: np.ndarray) -> tuple[float, float, int, int]:
     return mean, stderr, int(values.min()), int(values.max())
 
 
+def rank_starts(starts: Sequence[int], steps: Sequence[int]
+                ) -> tuple[dict[int, float], int, float]:
+    """Mean cover step per start vertex, and the worst start.
+
+    ``steps`` holds -1 for a censored walk. A start none of whose walks
+    covered has mean NaN and ranks worst; ties go to the larger vertex id.
+    Returns ``(per_start_mean, worst_start, worst_mean)``.
+    """
+    by_start: dict[int, list[int]] = {}
+    for v, step in zip(starts, steps):
+        by_start.setdefault(int(v), []).append(int(step))
+    per_start = {}
+    for v, block in by_start.items():
+        good = [step for step in block if step >= 0]
+        per_start[v] = float(np.mean(good)) if good else math.nan
+    worst = max(per_start, key=lambda v: (
+        math.inf if math.isnan(per_start[v]) else per_start[v], v))
+    return per_start, worst, per_start[worst]
+
+
 def cover_time_empirical(g: Graph, trials: int, seed: int, worst_start: bool = False,
                          start: int | None = None, budget: int | None = None,
                          sample_starts: int = START_POOL_SAMPLE) -> CoverSummary:
@@ -316,17 +333,7 @@ def cover_time_empirical(g: Graph, trials: int, seed: int, worst_start: bool = F
     worst_v = None
     worst_mean = None
     if worst_start:
-        per_start = {}
-        for j, v in enumerate(pool):
-            block = steps[j * trials:(j + 1) * trials]
-            good = block[block >= 0]
-            per_start[v] = float(good.mean()) if good.size else math.nan
-        # fully censored starts rank worst; ties break on vertex id
-        def _rank(v: int):
-            m = per_start[v]
-            return (math.inf if math.isnan(m) else m, v)
-        worst_v = max(per_start, key=_rank)
-        worst_mean = per_start[worst_v]
+        per_start, worst_v, worst_mean = rank_starts(starts, steps)
     return CoverSummary(
         trials=trials, budget=budget, seed=seed, worst_start_mode=worst_start,
         pool=pool, starts=starts, cover_steps=steps,
@@ -580,9 +587,7 @@ def segmented_visit_experiment(g: Graph, length: int, c: float, trials: int,
     logn = math.log(n)
     for trial in range(trials):
         state = K.stream_state(seed, trial)
-        with np.errstate(over="ignore"):
-            u = int(K._randint(state, np.int64(n)))
-            v = int(K._randint(state, np.int64(n)))
+        u, v = (int(x) for x in K.draw_ints(state, n, 2))
         visits[:] = 0
         nseg, nhit = K.segment_hits(g.indptr, g.indices, np.int64(u), np.int64(v),
                                     np.int64(length), np.int64(burn), np.int64(window),

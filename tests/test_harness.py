@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from tracelab import cover_time_empirical, cycle_graph, generate, harness
 from tracelab.harness import (COLUMNS, ConfigError, ExperimentConfig,
                               emit_plot_data, evaluate_checks, load_config,
                               rows_to_csv, run_experiment, summarize,
@@ -166,6 +167,48 @@ def test_worst_start_units():
     res = run_experiment(cfg)
     assert len(res.rows) == 12 * 3
     assert "worst_start" in res.stats
+
+
+def test_worst_start_never_covered_ranks_worst():
+    """The harness and cover_time_empirical rank starts by one rule: a start
+    whose walks never covered is the worst, and its mean is null, so a
+    max_worst_start_mean check fails instead of passing."""
+    cfg = cfg_with(graph={"family": "cycle", "n": 12}, trials=3,
+                   params={"worst_start": True, "budget": 40})
+    res = run_experiment(cfg)
+    cols = res.columns
+    never = {v for v in range(12)
+             if all(row[cols.index("censored")] for row in res.rows
+                    if row[cols.index("start")] == v)}
+    assert never == {1, 4, 8, 9}
+    assert res.stats["worst_start"] == 9
+    assert res.stats["worst_start_mean"] is None
+    cs = cover_time_empirical(cycle_graph(12), 3, 3, worst_start=True, budget=40)
+    assert cs.worst_start == res.stats["worst_start"]
+    assert math.isnan(cs.worst_mean)
+    fails = evaluate_checks(res.stats, {"max_worst_start_mean": 1e9})
+    assert fails == ["max_worst_start_mean: summary has no field 'worst_start_mean'"]
+
+
+def test_fixed_graph_and_start_pool_built_once(monkeypatch):
+    calls = {"random_regular": 0, "start_pool": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(generate, "random_regular")
+    counting(harness, "start_pool")
+    cfg = cfg_with(graph={"family": "random_regular", "n": 16, "d": 4, "seed": 1},
+                   trials=2, params={"worst_start": True})
+    res = run_experiment(cfg, workers=1)
+    assert len(res.rows) == 16 * 2
+    assert calls == {"random_regular": 1, "start_pool": 1}
 
 
 def test_counterexample_experiment():

@@ -53,6 +53,8 @@ def test_iterative_agrees_with_dense():
     assert abs(dense.lambda_min - it.lambda_min) < 1e-6
     assert dense.method == "dense"
     assert it.method == "iterative"
+    assert dense.residual < 1e-9
+    assert dense.iterations == 0
 
 
 def test_eigen_disconnected_shows_no_gap():
