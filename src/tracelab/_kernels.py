@@ -246,20 +246,6 @@ def walk_trace(indptr, indices, eid, start, length, state, visits, first_visit,
 
 
 @kernel
-def endpoint_counts(indptr, indices, start, t, trials, seed, index0, counts):
-    """Accumulate endpoint tallies of ``trials`` independent t-step walks."""
-    s = np.empty(4, dtype=np.uint64)
-    for trial in range(trials):
-        _stream(seed, np.int64(index0 + trial), s)
-        cur = np.int64(start)
-        for _ in range(t):
-            base = indptr[cur]
-            deg = indptr[cur + 1] - base
-            cur = np.int64(indices[base + _randint(s, deg)])
-        counts[cur] += 1
-
-
-@kernel
 def hit_within_count(indptr, indices, u, v, horizon, trials, seed, index0):
     """Count walks from ``u`` that reach ``v`` within ``horizon`` steps."""
     hits = np.int64(0)

@@ -96,10 +96,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Canonical enumeration: (u, v) with u < v, ascending lexicographic."""
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < int(v):
-                    yield u, int(v)
+        lo, hi = self.edge_array()
+        return zip(lo.tolist(), hi.tolist())
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical edge endpoints as two arrays (low, high)."""

@@ -62,8 +62,50 @@ class ExpanderCheck:
 def _mask_of(vertices) -> int:
     acc = 0
     for v in vertices:
-        acc |= 1 << int(v)
+        acc |= 1 << v
     return acc
+
+
+def _union_of(nbr: list[int], vertices) -> int:
+    acc = 0
+    for v in vertices:
+        acc |= nbr[v]
+    return acc
+
+
+def _check_sweep(c: float, mode: str, samples: int) -> None:
+    if c < 1.0:
+        raise GraphError("c must be >= 1")
+    if mode == "sampled":
+        if samples < 1:
+            raise GraphError("samples must be >= 1")
+    elif mode != "exact":
+        raise GraphError(f"unknown mode {mode!r}")
+
+
+def _shuffles(n: int, seed: int):
+    """Endless Fisher-Yates shuffles of 0..n-1 on stream ``(seed, 0)``; every
+    item is the same array, reshuffled in place."""
+    state = K.stream_state(seed, 0)
+    order = np.arange(n, dtype=np.int64)
+    while True:
+        K.shuffle_ints(order, state)
+        yield order
+
+
+def _sweep(kind: str, c: float, mode: str, set_size: int, candidates,
+           violates) -> ExpanderCheck:
+    """Test ``candidates`` in order; the first one ``violates`` flags stops
+    the sweep as the witness. A pass is exhaustive in exact mode only."""
+    checked = 0
+    for cand in candidates:
+        checked += 1
+        if violates(cand):
+            return ExpanderCheck(kind=kind, c=c, passed=False, mode=mode,
+                                 set_size=set_size, checked=checked,
+                                 exhaustive=False, witness=cand)
+    return ExpanderCheck(kind=kind, c=c, passed=True, mode=mode, set_size=set_size,
+                         checked=checked, exhaustive=mode == "exact", witness=None)
 
 
 def check_expansion(g: Graph, c: float, mode: str = "exact", samples: int = 64,
@@ -75,8 +117,7 @@ def check_expansion(g: Graph, c: float, mode: str = "exact", samples: int = 64,
     Sampled mode draws ``samples`` sets per size from stream ``(seed, 0)``.
     The first violation stops the sweep and is returned as the witness.
     """
-    if c < 1.0:
-        raise GraphError("c must be >= 1")
+    _check_sweep(c, mode, samples)
     n = g.n
     cap = int(math.floor(n / (2.0 * c)))
     nbr = neighbor_masks(g)
@@ -85,46 +126,16 @@ def check_expansion(g: Graph, c: float, mode: str = "exact", samples: int = 64,
         if total > budget:
             raise BudgetError(
                 f"exact expansion sweep needs {total} sets (budget {budget}); use sampled mode")
-        checked = 0
-        for s in range(1, cap + 1):
-            need = c * s
-            for combo in itertools.combinations(range(n), s):
-                checked += 1
-                xmask = _mask_of(combo)
-                union = 0
-                for v in combo:
-                    union |= nbr[v]
-                if (union & ~xmask).bit_count() < need:
-                    return ExpanderCheck(kind="expansion", c=c, passed=False,
-                                         mode="exact", set_size=cap, checked=checked,
-                                         exhaustive=False, witness=combo)
-        return ExpanderCheck(kind="expansion", c=c, passed=True, mode="exact",
-                             set_size=cap, checked=checked, exhaustive=True,
-                             witness=None)
-    if mode != "sampled":
-        raise GraphError(f"unknown mode {mode!r}")
-    if samples < 1:
-        raise GraphError("samples must be >= 1")
-    state = K.stream_state(seed, 0)
-    order = np.arange(n, dtype=np.int64)
-    checked = 0
-    for s in range(1, cap + 1):
-        need = c * s
-        for _ in range(samples):
-            K.shuffle_ints(order, state)
-            combo = tuple(sorted(int(v) for v in order[:s]))
-            checked += 1
-            xmask = _mask_of(combo)
-            union = 0
-            for v in combo:
-                union |= nbr[v]
-            if (union & ~xmask).bit_count() < need:
-                return ExpanderCheck(kind="expansion", c=c, passed=False,
-                                     mode="sampled", set_size=cap, checked=checked,
-                                     exhaustive=False, witness=combo)
-    return ExpanderCheck(kind="expansion", c=c, passed=True, mode="sampled",
-                         set_size=cap, checked=checked, exhaustive=False,
-                         witness=None)
+        sets = (x for s in range(1, cap + 1) for x in itertools.combinations(range(n), s))
+    else:
+        orders = _shuffles(n, seed)
+        sets = (tuple(sorted(order[:s].tolist())) for s in range(1, cap + 1)
+                for order in itertools.islice(orders, samples))
+
+    def violates(x):
+        return (_union_of(nbr, x) & ~_mask_of(x)).bit_count() < c * len(x)
+
+    return _sweep("expansion", c, mode, cap, sets, violates)
 
 
 def check_joinedness(g: Graph, c: float, mode: str = "exact", samples: int = 64,
@@ -136,62 +147,33 @@ def check_joinedness(g: Graph, c: float, mode: str = "exact", samples: int = 64,
     size ceil(n / (2c)) and draws ``samples`` disjoint pairs per call.
     A missing edge between some pair is returned as the witness.
     """
-    if c < 1.0:
-        raise GraphError("c must be >= 1")
+    _check_sweep(c, mode, samples)
     n = g.n
     nbr = neighbor_masks(g)
     if mode == "exact":
         size = int(math.floor(n / (2.0 * c)))
-        if size < 1:
-            return ExpanderCheck(kind="joinedness", c=c, passed=True, mode="exact",
-                                 set_size=0, checked=0, exhaustive=True, witness=None)
         total = math.comb(n, size) * math.comb(n - size, size) // 2
         if total > budget:
             raise BudgetError(
                 f"exact joinedness sweep needs {total} pairs (budget {budget}); use sampled mode")
-        checked = 0
-        for a in itertools.combinations(range(n), size):
-            amask = _mask_of(a)
-            union = 0
-            for v in a:
-                union |= nbr[v]
-            rest = [v for v in range(n) if not (amask >> v) & 1]
-            for b in itertools.combinations(rest, size):
-                if b[0] < a[0]:
-                    continue
-                checked += 1
-                if union & _mask_of(b) == 0:
-                    return ExpanderCheck(kind="joinedness", c=c, passed=False,
-                                         mode="exact", set_size=size, checked=checked,
-                                         exhaustive=False, witness=(a, b))
-        return ExpanderCheck(kind="joinedness", c=c, passed=True, mode="exact",
-                             set_size=size, checked=checked, exhaustive=True,
-                             witness=None)
-    if mode != "sampled":
-        raise GraphError(f"unknown mode {mode!r}")
-    if samples < 1:
-        raise GraphError("samples must be >= 1")
-    size = int(math.ceil(n / (2.0 * c)))
-    if 2 * size > n:
-        raise GraphError("cannot draw two disjoint sets of that size")
-    state = K.stream_state(seed, 0)
-    order = np.arange(n, dtype=np.int64)
-    checked = 0
-    for _ in range(samples):
-        K.shuffle_ints(order, state)
-        a = tuple(sorted(int(v) for v in order[:size]))
-        b = tuple(sorted(int(v) for v in order[size:2 * size]))
-        checked += 1
-        union = 0
-        for v in a:
-            union |= nbr[v]
-        if union & _mask_of(b) == 0:
-            return ExpanderCheck(kind="joinedness", c=c, passed=False,
-                                 mode="sampled", set_size=size, checked=checked,
-                                 exhaustive=False, witness=(a, b))
-    return ExpanderCheck(kind="joinedness", c=c, passed=True, mode="sampled",
-                         set_size=size, checked=checked, exhaustive=False,
-                         witness=None)
+        # each unordered pair once, the set holding the smaller least vertex
+        # first; size 0 has no pairs
+        pairs = ((a, b) for a in itertools.combinations(range(n), size) if size
+                 for b in itertools.combinations(
+                     [v for v in range(a[0] + 1, n) if v not in a], size))
+    else:
+        size = int(math.ceil(n / (2.0 * c)))
+        if 2 * size > n:
+            raise GraphError("cannot draw two disjoint sets of that size")
+        pairs = ((tuple(sorted(order[:size].tolist())),
+                  tuple(sorted(order[size:2 * size].tolist())))
+                 for order in itertools.islice(_shuffles(n, seed), samples))
+
+    def violates(pair):
+        a, b = pair
+        return _union_of(nbr, a) & _mask_of(b) == 0
+
+    return _sweep("joinedness", c, mode, size, pairs, violates)
 
 
 @dataclass(frozen=True)
@@ -408,14 +390,7 @@ def hamiltonian_exact(g: Graph, method: str = "auto",
     proven-absent.
     """
     n = g.n
-    if n < 3:
-        return CycleResult(status="proven-absent", cycle=None, method="exact",
-                           work={"masks": 0})
-    if int(g.degrees.min()) < 2:
-        return CycleResult(status="proven-absent", cycle=None, method="exact",
-                           work={"masks": 0})
-    connected, _ = connectivity_profile(g)
-    if not connected:
+    if n < 3 or int(g.degrees.min()) < 2 or not connectivity_profile(g)[0]:
         return CycleResult(status="proven-absent", cycle=None, method="exact",
                            work={"masks": 0})
     if method == "auto":

@@ -31,7 +31,7 @@ from .graphs import Graph, GraphError
 from .hamilton import certify_expander, hamiltonian_posa, tau_times
 from .walks import (blanket_trial, cover_trial, rank_starts,
                     return_probe_trial, simulate_walk, start_pool,
-                    trace_graph, visits_trial)
+                    step_moments, trace_graph, visits_trial)
 
 EXPERIMENTS = (
     "cover", "strong_cover", "blanket", "visits", "return_probe",
@@ -46,10 +46,10 @@ _WALK_KEYS = {"steps", "multiplier"}
 _OUTPUT_KEYS = {"dir", "prefix"}
 _PARAM_KEYS: dict[str, set[str]] = {
     "cover": {"worst_start", "budget", "start", "sample_starts"},
-    "strong_cover": {"ci_level"},
+    "strong_cover": set(),
     "blanket": {"delta", "budget", "start"},
     "visits": {"start"},
-    "return_probe": {"u", "v", "horizon", "c", "ci_level"},
+    "return_probe": {"u", "v", "horizon", "c"},
     "trace_hamilton": {"max_rotations", "max_restarts"},
     "tau": {"start", "checker_budget"},
     "bounds_sweep": {"n", "d", "eps", "ratios", "lambdas", "xi"},
@@ -360,11 +360,13 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None,
         hit = return_probe_trial(g, cfg.seed, unit, u, v, int(horizon))
         return [unit, hit]
 
+    if exp not in _DERIVED_GRAPH_SEED:
+        raise ConfigError(f"unhandled experiment {exp}")
+    # a fresh graph per trial; parsing rejected a fixed graph.seed
+    gseed, wseed, start = _derived_seeds(cfg.seed, unit, int(cfg.graph["n"]))
+    graph = cfg.graph_spec(seed_override=gseed).build()
+    length = cfg.resolve_length(graph.n)
     if exp == "trace_hamilton":
-        gseed, wseed, start = _derived_seeds(cfg.seed, unit, int(cfg.graph["n"]))
-        spec = cfg.graph_spec(seed_override=gseed if "seed" not in cfg.graph else None)
-        graph = spec.build()
-        length = cfg.resolve_length(graph.n)
         trace = simulate_walk(graph, start, length, wseed, stream=0)
         if not trace.covered:
             return [unit, gseed, wseed, 0, 0, 0, 0]
@@ -376,20 +378,12 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None,
             stream=1)
         return [unit, gseed, wseed, 1, int(res.found),
                 res.work["rotations"], res.work["restarts"]]
-
-    if exp == "tau":
-        gseed, wseed, start = _derived_seeds(cfg.seed, unit, int(cfg.graph["n"]))
-        spec = cfg.graph_spec(seed_override=gseed if "seed" not in cfg.graph else None)
-        graph = spec.build()
-        if "start" in p:
-            start = int(p["start"])
-        length = cfg.resolve_length(graph.n)
-        res = tau_times(graph, start, length, wseed,
-                        checker_budget=p.get("checker_budget"))
-        return [unit, gseed, wseed, start, res.tau1, res.tau_hc,
-                int(res.exact), int(res.censored)]
-
-    raise ConfigError(f"unhandled experiment {exp}")
+    if "start" in p:
+        start = int(p["start"])
+    res = tau_times(graph, start, length, wseed,
+                    checker_budget=p.get("checker_budget"))
+    return [unit, gseed, wseed, start, res.tau1, res.tau_hc,
+            int(res.exact), int(res.censored)]
 
 
 def _row_range(cfg: ExperimentConfig, g: Graph | None, pool: tuple[int, ...] | None,
@@ -417,11 +411,7 @@ def summarize(experiment: str, rows: list[list]) -> dict[str, Any]:
         out["censored"] = censored
         out["censored_rate"] = censored / len(rows) if rows else math.nan
         if steps:
-            arr = np.asarray(steps, dtype=np.float64)
-            out["mean"] = float(arr.mean())
-            out["stderr"] = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-            out["min"] = int(arr.min())
-            out["max"] = int(arr.max())
+            out["mean"], out["stderr"], out["min"], out["max"] = step_moments(steps)
         if rows:
             _, worst, worst_mean = rank_starts(
                 _col(rows, columns, "start"),

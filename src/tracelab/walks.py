@@ -34,6 +34,26 @@ def _check_start(g: Graph, start: int) -> None:
         raise GraphError("start vertex is isolated")
 
 
+def _check_length(length: int) -> None:
+    if length < 0:
+        raise GraphError("length must be >= 0")
+
+
+def _check_delta(delta: float) -> None:
+    if not (0.0 < delta < 1.0):
+        raise GraphError("delta must be in (0, 1)")
+
+
+def _check_probe(g: Graph, u: int, v: int, horizon: int) -> None:
+    _check_start(g, u)
+    if g.n == 1:
+        raise GraphError("return probe needs at least two vertices")
+    if not (0 <= v < g.n):
+        raise GraphError("vertex out of range")
+    if horizon < 1:
+        raise GraphError("horizon must be >= 1")
+
+
 def _require_connected(g: Graph) -> None:
     connected, _ = connectivity_profile(g)
     if not connected:
@@ -101,8 +121,7 @@ def simulate_walk(g: Graph, start: int, length: int, seed: int, stream: int = 0)
     """Run one walk of ``length`` steps from ``start`` on stream
     ``(seed, stream)`` and record its trace."""
     _check_start(g, start)
-    if length < 0:
-        raise GraphError("length must be >= 0")
+    _check_length(length)
     n = g.n
     if n == 1:
         if length > 0:
@@ -172,6 +191,17 @@ def _trial_start(g: Graph, seed: int, unit: int, start: int | None
     return state, start
 
 
+def _walk(g: Graph, state: np.ndarray, start: int, length: int, delta: float,
+          stop_mode: int) -> tuple[int, int, int, np.ndarray]:
+    """One ``K.walk_stats`` pass from ``start`` on a fresh visit array;
+    returns ``(cover_step, blanket_step, steps_taken, visits)``."""
+    visits = np.zeros(g.n, dtype=np.int64)
+    cover, blanket, steps = K.walk_stats(g.indptr, g.indices, np.int64(start),
+                                         np.int64(length), float(delta),
+                                         np.int64(stop_mode), state, visits)
+    return int(cover), int(blanket), int(steps), visits
+
+
 def cover_trial(g: Graph, seed: int, unit: int, budget: int | None = None,
                 start: int | None = None) -> tuple[int, int]:
     """One cover trial on stream ``(seed, unit)``.
@@ -183,10 +213,8 @@ def cover_trial(g: Graph, seed: int, unit: int, budget: int | None = None,
     if budget is None:
         budget = default_budget(g.n)
     state, start = _trial_start(g, seed, unit, start)
-    visits = np.zeros(g.n, dtype=np.int64)
-    cover, _, _ = K.walk_stats(g.indptr, g.indices, np.int64(start), np.int64(budget),
-                               0.0, np.int64(1), state, visits)
-    return start, int(cover)
+    cover, _, _, _ = _walk(g, state, start, budget, 0.0, 1)
+    return start, cover
 
 
 def blanket_trial(g: Graph, seed: int, unit: int, delta: float,
@@ -194,16 +222,12 @@ def blanket_trial(g: Graph, seed: int, unit: int, delta: float,
                   ) -> tuple[int, int, int]:
     """One blanket trial on stream ``(seed, unit)``; returns
     ``(start, cover_step, blanket_step)``, -1 where the budget hit first."""
-    if not (0.0 < delta < 1.0):
-        raise GraphError("delta must be in (0, 1)")
+    _check_delta(delta)
     if budget is None:
         budget = 4 * default_budget(g.n)
     state, start = _trial_start(g, seed, unit, start)
-    visits = np.zeros(g.n, dtype=np.int64)
-    cover, blanket, _ = K.walk_stats(g.indptr, g.indices, np.int64(start),
-                                     np.int64(budget), float(delta), np.int64(2),
-                                     state, visits)
-    return start, int(cover), int(blanket)
+    cover, blanket, _, _ = _walk(g, state, start, budget, delta, 2)
+    return start, cover, blanket
 
 
 def visits_trial(g: Graph, seed: int, unit: int, length: int,
@@ -211,13 +235,10 @@ def visits_trial(g: Graph, seed: int, unit: int, length: int,
     """One fixed-length walk on stream ``(seed, unit)``; returns
     ``(start, covered, min_visits, min_visits / ln n)`` with ratio 0 when
     the walk failed to cover."""
-    if length < 0:
-        raise GraphError("length must be >= 0")
+    _check_length(length)
     state, start = _trial_start(g, seed, unit, start)
-    visits = np.zeros(g.n, dtype=np.int64)
-    cover, _, _ = K.walk_stats(g.indptr, g.indices, np.int64(start), np.int64(length),
-                               0.0, np.int64(0), state, visits)
-    covered = bool(cover >= 0)
+    cover, _, _, visits = _walk(g, state, start, length, 0.0, 0)
+    covered = cover >= 0
     mn = int(visits.min())
     ratio = (mn / math.log(g.n)) if covered and g.n >= 2 else 0.0
     return start, covered, mn, ratio
@@ -227,13 +248,7 @@ def return_probe_trial(g: Graph, seed: int, unit: int, u: int, v: int,
                        horizon: int) -> int:
     """One hit-within-horizon trial on stream ``(seed, unit)``: 1 when the
     walk from u touches v within ``horizon`` steps."""
-    _check_start(g, u)
-    if g.n == 1:
-        raise GraphError("return probe needs at least two vertices")
-    if not (0 <= v < g.n):
-        raise GraphError("vertex out of range")
-    if horizon < 1:
-        raise GraphError("horizon must be >= 1")
+    _check_probe(g, u, v, horizon)
     return int(K.hit_within_count(g.indptr, g.indices, np.int64(u), np.int64(v),
                                   np.int64(horizon), np.int64(1),
                                   np.uint64(seed & K.MASK64), np.int64(unit)))
@@ -271,12 +286,14 @@ class CoverSummary:
     worst_mean: float | None
 
 
-def _aggregate(values: np.ndarray) -> tuple[float, float, int, int]:
-    if values.size == 0:
+def step_moments(steps: Sequence[int]) -> tuple[float, float, int, int]:
+    """``(mean, stderr, min, max)`` of uncensored step counts; NaN means and
+    -1 extremes when there are none."""
+    arr = np.asarray(steps, dtype=np.float64)
+    if arr.size == 0:
         return math.nan, math.nan, -1, -1
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return mean, stderr, int(values.min()), int(values.max())
+    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), stderr, int(arr.min()), int(arr.max())
 
 
 def rank_starts(starts: Sequence[int], steps: Sequence[int]
@@ -328,7 +345,7 @@ def cover_time_empirical(g: Graph, trials: int, seed: int, worst_start: bool = F
         v = pool[unit // trials] if worst_start else start
         starts[unit], steps[unit] = cover_trial(g, seed, unit, budget=budget, start=v)
     uncensored = steps[steps >= 0]
-    mean, stderr, smallest, largest = _aggregate(uncensored)
+    mean, stderr, smallest, largest = step_moments(uncensored)
     per_start = None
     worst_v = None
     worst_mean = None
@@ -366,8 +383,7 @@ def strong_cover_estimate(g: Graph, length: int, trials: int, seed: int,
     start pool, one stream per trial."""
     if trials < 1:
         raise GraphError("trials must be >= 1")
-    if length < 0:
-        raise GraphError("length must be >= 0")
+    _check_length(length)
     _require_connected(g)
     pool = start_pool(g, seed)
     starts = np.empty(trials, dtype=np.int64)
@@ -403,26 +419,23 @@ def blanket_time(g: Graph, start: int, delta: float, seed: int,
                  budget: int | None = None, stream: int = 0) -> BlanketResult:
     """First step t >= cover time with min_v visits >= delta * t / n.
 
+    This is ``blanket_trial`` from ``start`` on stream ``(seed, stream)``.
     The condition is checked at every step from the cover step on, so the
     returned step is exact for this sample path; ``censored`` means the
-    budget ran out first.
+    budget ran out first, and ``steps`` is the blanket step or the budget.
     """
-    if not (0.0 < delta < 1.0):
-        raise GraphError("delta must be in (0, 1)")
+    # argument errors take precedence over a disconnected graph
+    _check_delta(delta)
     _check_start(g, start)
     _require_connected(g)
     if budget is None:
         budget = 4 * default_budget(g.n)
-    state = K.stream_state(seed, stream)
-    visits = np.zeros(g.n, dtype=np.int64)
-    cover, blanket, steps = K.walk_stats(
-        g.indptr, g.indices, np.int64(start), np.int64(budget),
-        float(delta), np.int64(2), state, visits)
+    _, cover, blanket = blanket_trial(g, seed, stream, delta, budget=budget, start=start)
     return BlanketResult(
         delta=delta, start=start,
-        cover_step=None if cover < 0 else int(cover),
-        blanket_step=None if blanket < 0 else int(blanket),
-        censored=blanket < 0, steps=int(steps),
+        cover_step=None if cover < 0 else cover,
+        blanket_step=None if blanket < 0 else blanket,
+        censored=blanket < 0, steps=budget if blanket < 0 else blanket,
     )
 
 
@@ -448,36 +461,23 @@ def cover_stats(g: Graph, start: int, length: int, seed: int,
     blanket threshold per pass), so all numbers describe one sample path.
     """
     _check_start(g, start)
-    if length < 0:
-        raise GraphError("length must be >= 0")
+    _check_length(length)
     for delta in deltas:
-        if not (0.0 < delta < 1.0):
-            raise GraphError("delta must be in (0, 1)")
+        _check_delta(delta)
     blankets: dict[float, int | None] = {}
-    cover = -1
-    visits = np.zeros(g.n, dtype=np.int64)
-    for delta in deltas:
-        visits[:] = 0
-        state = K.stream_state(seed, stream)
-        cover, blanket, _ = K.walk_stats(
-            g.indptr, g.indices, np.int64(start), np.int64(length),
-            float(delta), np.int64(0), state, visits)
-        blankets[float(delta)] = None if blanket < 0 else int(blanket)
-    if not deltas:
-        visits[:] = 0
-        state = K.stream_state(seed, stream)
-        cover, _, _ = K.walk_stats(
-            g.indptr, g.indices, np.int64(start), np.int64(length),
-            0.0, np.int64(0), state, visits)
+    for delta in deltas or (0.0,):
+        cover, blanket, _, visits = _walk(g, K.stream_state(seed, stream), start,
+                                          length, delta, 0)
+        blankets[float(delta)] = None if blanket < 0 else blanket
     mn = int(visits.min())
     ratio = 0.0
     if cover >= 0 and g.n >= 2:
         ratio = mn / math.log(g.n)
     return CoverStats(
         start=start, length=length,
-        cover_step=None if cover < 0 else int(cover),
-        blanket_steps=blankets, min_visits=mn, max_visits=int(visits.max()),
-        min_visit_ratio=ratio,
+        cover_step=None if cover < 0 else cover,
+        blanket_steps=blankets if deltas else {}, min_visits=mn,
+        max_visits=int(visits.max()), min_visit_ratio=ratio,
     )
 
 
@@ -503,13 +503,7 @@ def return_probe(g: Graph, u: int, v: int, horizon: int, trials: int, seed: int,
                  ci_level: float = 0.95) -> ReturnProbeResult:
     """Fraction of ``horizon``-step walks from u that touch v, with an exact
     binomial confidence interval. Trial i runs on stream ``(seed, i)``."""
-    _check_start(g, u)
-    if g.n == 1:
-        raise GraphError("return probe needs at least two vertices")
-    if not (0 <= v < g.n):
-        raise GraphError("vertex out of range")
-    if horizon < 1:
-        raise GraphError("horizon must be >= 1")
+    _check_probe(g, u, v, horizon)
     if trials < 1:
         raise GraphError("trials must be >= 1")
     hits = int(K.hit_within_count(g.indptr, g.indices, np.int64(u), np.int64(v),

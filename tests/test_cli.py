@@ -165,6 +165,22 @@ def test_validation_errors_exit_one(capsys, tmp_path):
     assert code == 1  # odd n d
 
 
+def test_ci_level_param_rejected(capsys, tmp_path):
+    """The harness reports fixed 95% / 99% intervals, so it refuses a
+    ci_level it would not use."""
+    for experiment, params in (("strong_cover", {}), ("return_probe", {"horizon": 4})):
+        cfg = {"version": 1, "experiment": experiment,
+               "graph": {"family": "complete", "n": 8}, "trials": 5, "seed": 0,
+               "params": {**params, "ci_level": 0.5}}
+        if experiment == "strong_cover":
+            cfg["walk"] = {"multiplier": 3.0}
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(path),
+                               "--out", str(tmp_path / "res"))
+        assert code == 1 and "ci_level" in err
+
+
 def test_runtime_errors_exit_two(capsys, tmp_path):
     cfg = {
         "version": 1, "experiment": "counterexample",

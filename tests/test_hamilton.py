@@ -88,6 +88,18 @@ def test_joinedness_fails_on_split_graph():
     assert edges_between(g, VertexSet.of(10, a), VertexSet.of(10, b)) == 0
 
 
+def test_sweep_arguments_checked_even_without_sets():
+    """Mode and sample count are rejected up front, also when the target set
+    size is 0 and no candidate would ever be drawn."""
+    g = complete_graph(3)
+    for check in (check_expansion, check_joinedness):
+        with pytest.raises(GraphError, match="unknown mode"):
+            check(g, 4.0, mode="bogus")
+        with pytest.raises(GraphError, match="samples"):
+            check(g, 4.0, mode="sampled", samples=0)
+        assert check(g, 4.0, samples=0).passed  # exact mode ignores samples
+
+
 def test_certify_counterexample():
     g = counterexample_expander(16, 2)
     cert = certify_expander(g, 2.0)

@@ -1,6 +1,8 @@
 """Walk invariants: visit accounting, cover/blanket ordering, stream
 reproducibility, and the per-trial primitives the harness builds on."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -135,6 +137,15 @@ def test_blanket_after_cover():
     res = blanket_time(g, 0, 0.1, 9)
     assert not res.censored
     assert res.blanket_step >= res.cover_step
+
+
+def test_blanket_result_is_json_ready():
+    g = random_regular(24, 4, 2)
+    for budget in (None, 10):
+        res = blanket_time(g, 0, 0.1, 9, budget=budget)
+        assert res.censored is (budget == 10)
+        assert type(res.censored) is bool
+        json.dumps(dataclasses.asdict(res))
 
 
 def test_blanket_condition_holds_at_reported_step():
