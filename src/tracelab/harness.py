@@ -29,9 +29,12 @@ from .bounds import cover_time_spectral_bound, exact_binomial_ci
 from .generate import GenSpec
 from .graphs import Graph, GraphError
 from .hamilton import certify_expander, hamiltonian_posa, tau_times
-from .walks import (blanket_trial, cover_trial, rank_starts,
-                    return_probe_trial, simulate_walk, start_pool,
+from .walks import (START_POOL_SAMPLE, blanket_trial, cover_trials,
+                    probe_trials, rank_starts, simulate_walk, start_pool,
                     step_moments, trace_graph, visits_trial)
+# perfbench/tracing.py patches these names here; the harness reaches them
+# only through cover_trials and probe_trials
+from .walks import cover_trial, return_probe_trial  # noqa: F401
 
 EXPERIMENTS = (
     "cover", "strong_cover", "blanket", "visits", "return_probe",
@@ -205,6 +208,16 @@ class ExperimentConfig:
         if exp in _DERIVED_GRAPH_SEED:
             _expect("seed" not in self.graph,
                     f"{exp} derives graph seeds per trial; drop graph.seed")
+        if "worst_start" in p:
+            _expect(isinstance(p["worst_start"], bool), "params.worst_start must be a boolean")
+        if "sample_starts" in p:
+            _expect(_int_field(p["sample_starts"], "params.sample_starts") >= 1,
+                    "params.sample_starts must be >= 1")
+        # null budget / start keep their defaults (default budget, drawn start)
+        if p.get("budget") is not None:
+            _expect(_int_field(p["budget"], "params.budget") >= 0, "params.budget must be >= 0")
+        if p.get("start") is not None:
+            _int_field(p["start"], "params.start")
         if exp == "blanket":
             _expect("delta" in p, "blanket needs params.delta")
             delta = _num_field(p["delta"], "params.delta")
@@ -286,7 +299,8 @@ def _run_pool(cfg: ExperimentConfig, g: Graph | None) -> tuple[int, ...] | None:
     """Start pool shared by the run's units: worst-start cover walks from
     every pool vertex, strong_cover cycles through the pool."""
     if cfg.experiment == "cover" and cfg.params.get("worst_start"):
-        return start_pool(g, cfg.seed, sample=int(cfg.params.get("sample_starts", 32)))
+        return start_pool(g, cfg.seed,
+                          sample=cfg.params.get("sample_starts", START_POOL_SAMPLE))
     if cfg.experiment == "strong_cover":
         return start_pool(g, cfg.seed)
     return None
@@ -321,21 +335,6 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None,
     if exp == "bounds_sweep":
         return _bounds_sweep_row(cfg, unit)
 
-    if exp in ("cover", "counterexample"):
-        budget = p.get("budget")
-        if pool is not None:
-            start = pool[unit // cfg.trials]
-        else:
-            start = p.get("start", 0 if exp == "counterexample" else None)
-        v, cover = cover_trial(g, cfg.seed, unit, budget=budget, start=start)
-        return [unit, v, cover if cover >= 0 else None, int(cover < 0)]
-
-    if exp == "strong_cover":
-        length = cfg.resolve_length(g.n)
-        start = pool[unit % len(pool)]
-        v, cover = cover_trial(g, cfg.seed, unit, budget=length, start=start)
-        return [unit, v, int(cover >= 0), cover if cover >= 0 else None]
-
     if exp == "blanket":
         delta = float(p["delta"])
         v, cover, blanket = blanket_trial(
@@ -348,17 +347,6 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None,
         v, covered, min_visits, rho = visits_trial(
             g, cfg.seed, unit, length, start=p.get("start"))
         return [unit, v, int(covered), min_visits, rho]
-
-    if exp == "return_probe":
-        u = int(p.get("u", 0))
-        v = int(p.get("v", 1))
-        horizon = p.get("horizon")
-        if horizon is None:
-            horizon = cfg.resolve_length(g.n)
-        if horizon is None:
-            horizon = int(round(g.n / math.sqrt(float(p["c"]))))
-        hit = return_probe_trial(g, cfg.seed, unit, u, v, int(horizon))
-        return [unit, hit]
 
     if exp not in _DERIVED_GRAPH_SEED:
         raise ConfigError(f"unhandled experiment {exp}")
@@ -386,8 +374,51 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None,
             int(res.exact), int(res.censored)]
 
 
+def _cover_rows(cfg: ExperimentConfig, g: Graph, pool: tuple[int, ...] | None,
+                lo: int, hi: int) -> list[list]:
+    """Rows of ``cover``, ``counterexample`` and ``strong_cover`` units."""
+    p = cfg.params
+    units = range(lo, hi)
+    budget = p.get("budget")
+    if cfg.experiment == "strong_cover":
+        budget = cfg.resolve_length(g.n)
+        starts = [pool[unit % len(pool)] for unit in units]
+    elif pool is not None:
+        starts = [pool[unit // cfg.trials] for unit in units]
+    else:
+        start = p.get("start", 0 if cfg.experiment == "counterexample" else None)
+        starts = None if start is None else [start] * len(units)
+    vs, covers = cover_trials(g, cfg.seed, lo, hi, budget, starts)
+    rows = []
+    for unit, v, cover in zip(units, vs.tolist(), covers.tolist()):
+        step = cover if cover >= 0 else None
+        if cfg.experiment == "strong_cover":
+            rows.append([unit, v, int(cover >= 0), step])
+        else:
+            rows.append([unit, v, step, int(cover < 0)])
+    return rows
+
+
+def _probe_rows(cfg: ExperimentConfig, g: Graph, lo: int, hi: int) -> list[list]:
+    p = cfg.params
+    horizon = p.get("horizon")
+    if horizon is None:
+        horizon = cfg.resolve_length(g.n)
+    if horizon is None:
+        horizon = int(round(g.n / math.sqrt(float(p["c"]))))
+    hits = probe_trials(g, cfg.seed, lo, hi, int(p.get("u", 0)), int(p.get("v", 1)),
+                        int(horizon))
+    return [[unit, hit] for unit, hit in zip(range(lo, hi), hits.tolist())]
+
+
 def _row_range(cfg: ExperimentConfig, g: Graph | None, pool: tuple[int, ...] | None,
                lo: int, hi: int) -> list[list]:
+    """Rows of units ``lo..hi-1``. Cover-style and return-probe units run as
+    one batch of independent trials; the rest run one unit at a time."""
+    if cfg.experiment in ("cover", "counterexample", "strong_cover"):
+        return _cover_rows(cfg, g, pool, lo, hi)
+    if cfg.experiment == "return_probe":
+        return _probe_rows(cfg, g, lo, hi)
     return [_unit_row(cfg, g, pool, unit) for unit in range(lo, hi)]
 
 

@@ -18,10 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels as K
+from ._accel import NUMBA_ENABLED
 from .bounds import exact_binomial_ci
 from .graphs import Graph, GraphError, connectivity_profile
 
 AUX_STREAM = K.AUX_STREAM
+
+# The xoshiro256++ step as Python source (numba keeps it as ``py_func``).
+# Given a uint64[4, lanes] array it advances every column at once.
+_next64 = getattr(K._next64, "py_func", K._next64)
 
 # sample size for start pools on graphs too large to enumerate every start
 START_POOL_SAMPLE = 32
@@ -69,6 +74,8 @@ def start_pool(g: Graph, seed: int, limit: int = 200,
                sample: int = START_POOL_SAMPLE) -> tuple[int, ...]:
     """Deterministic pool of start vertices: everything when n <= limit,
     otherwise a seeded sample without replacement (auxiliary stream)."""
+    if sample < 1:
+        raise GraphError("sample must be >= 1")
     if g.n <= limit:
         return tuple(range(g.n))
     order = np.arange(g.n, dtype=np.int64)
@@ -255,6 +262,167 @@ def return_probe_trial(g: Graph, seed: int, unit: int, u: int, v: int,
 
 
 # ---------------------------------------------------------------------------
+# batched trials: units lo..hi-1 at once
+# ---------------------------------------------------------------------------
+
+# The interpreted backend runs a batch as lockstep lanes, lane i on stream
+# (seed, lo + i), each drawing exactly what its per-trial kernel would, and
+# drops a lane once its trial has ended. Below _MIN_LANES lanes the
+# per-trial kernels are faster. A chunk holds _CHUNK_CELLS // n lanes, so a
+# cover chunk's (lane, vertex) visited matrix stays within _CHUNK_CELLS.
+_MIN_LANES = 6
+_CHUNK_CELLS = 1 << 20
+
+
+def _lockstep(lanes: int) -> bool:
+    return not NUMBA_ENABLED and lanes >= _MIN_LANES
+
+
+def _chunks(lo: int, hi: int, n: int):
+    size = max(1, _CHUNK_CELLS // n)
+    for a in range(lo, hi, size):
+        yield a, min(a + size, hi)
+
+
+def _lane_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """uint64[4, hi - lo]: column i is the state of stream ``(seed, lo + i)``."""
+    return np.stack([K.stream_state(seed, unit) for unit in range(lo, hi)], axis=1)
+
+
+def _threshold(bound):
+    """``_randint``'s rejection threshold (2**64 - bound) % bound, as uint64
+    (0 for an isolated vertex's bound 0)."""
+    return (np.uint64(0) - bound) % np.maximum(bound, np.uint64(1))
+
+
+def _lane_ints(state: np.ndarray, bound, threshold) -> np.ndarray:
+    """One ``_randint`` per column of ``state``: uniform uint64 in [0, bound)
+    by threshold rejection; ``bound`` and ``threshold`` are uint64 scalars or
+    per-lane arrays. A lane whose output falls below its threshold redraws
+    alone, on its own state, until it clears it."""
+    r = _next64(state)
+    low = r < threshold
+    if np.count_nonzero(low):
+        threshold = np.broadcast_to(threshold, r.shape)
+        for i in low.nonzero()[0]:
+            s = state[:, i].copy()
+            while r[i] < threshold[i]:
+                r[i] = _next64(s)
+            state[:, i] = s
+    return r % bound
+
+
+def _walk_tables(g: Graph) -> tuple[np.ndarray, ...]:
+    """Per-vertex uint64 CSR offset, degree and rejection threshold."""
+    deg = np.diff(g.indptr).astype(np.uint64)
+    return g.indptr[:-1].astype(np.uint64), deg, _threshold(deg)
+
+
+def _step_lanes(g: Graph, tables: tuple[np.ndarray, ...], state: np.ndarray,
+                cur: np.ndarray) -> np.ndarray:
+    """Move every lane to a uniform neighbour of its vertex in ``cur``."""
+    base, deg, threshold = tables
+    return g.indices[base[cur] + _lane_ints(state, deg[cur], threshold[cur])]
+
+
+def _cover_lanes(g: Graph, seed: int, lo: int, hi: int, budget: int,
+                 starts: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray]:
+    n = g.n
+    state = _lane_states(seed, lo, hi)
+    if starts is None:
+        bound = np.uint64(n)
+        start = _lane_ints(state, bound, _threshold(bound)).astype(np.int64)
+    else:
+        start = np.asarray(starts, dtype=np.int64)
+    steps = np.full(hi - lo, -1 if n > 1 else 0, dtype=np.int64)
+    if n == 1:
+        return start, steps
+    tables = _walk_tables(g)
+    lane = np.arange(hi - lo, dtype=np.int64)
+    row = lane * n  # a lane's offset into the flat (lane, vertex) visited matrix
+    seen = np.zeros((hi - lo) * n, dtype=bool)
+    seen[row + start] = True
+    left = np.full(hi - lo, n - 1, dtype=np.int64)
+    cur = start
+    for step in range(1, budget + 1):
+        cur = _step_lanes(g, tables, state, cur)
+        cell = row + cur
+        left -= ~seen[cell]
+        seen[cell] = True
+        done = left == 0
+        if np.count_nonzero(done):
+            steps[lane[done]] = step
+            keep = ~done
+            state, lane, row, cur, left = (state[:, keep], lane[keep], row[keep],
+                                           cur[keep], left[keep])
+            if not lane.size:
+                break
+    return start, steps
+
+
+def _probe_lanes(g: Graph, seed: int, lo: int, hi: int, u: int, v: int,
+                 horizon: int) -> np.ndarray:
+    state = _lane_states(seed, lo, hi)
+    tables = _walk_tables(g)
+    hits = np.zeros(hi - lo, dtype=np.int64)
+    lane = np.arange(hi - lo, dtype=np.int64)
+    cur = np.full(hi - lo, u, dtype=np.int64)
+    for _ in range(horizon):
+        cur = _step_lanes(g, tables, state, cur)
+        done = cur == v
+        if np.count_nonzero(done):
+            hits[lane[done]] = 1
+            keep = ~done
+            state, lane, cur = state[:, keep], lane[keep], cur[keep]
+            if not lane.size:
+                break
+    return hits
+
+
+def cover_trials(g: Graph, seed: int, lo: int, hi: int, budget: int | None = None,
+                 starts: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``cover_trial`` for every unit in ``lo..hi-1``, as int64 arrays
+    ``(starts, cover_steps)`` indexed by ``unit - lo``.
+
+    ``starts`` gives each unit's start vertex, or None to draw every start
+    from its stream. The outputs equal the per-trial calls bit for bit.
+    """
+    if budget is None:
+        budget = default_budget(g.n)
+    if starts is not None:
+        if len(starts) != hi - lo:
+            raise GraphError("starts needs one vertex per unit")
+        for v in set(starts):
+            _check_start(g, v)
+    if not _lockstep(hi - lo):
+        pairs = [cover_trial(g, seed, unit, budget,
+                             None if starts is None else starts[unit - lo])
+                 for unit in range(lo, hi)]
+        return (np.array([p[0] for p in pairs], dtype=np.int64),
+                np.array([p[1] for p in pairs], dtype=np.int64))
+    with np.errstate(over="ignore"):
+        parts = [_cover_lanes(g, seed, a, b, budget,
+                              None if starts is None else starts[a - lo:b - lo])
+                 for a, b in _chunks(lo, hi, g.n)]
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]))
+
+
+def probe_trials(g: Graph, seed: int, lo: int, hi: int, u: int, v: int,
+                 horizon: int) -> np.ndarray:
+    """``return_probe_trial`` for every unit in ``lo..hi-1``, as an int64
+    array of hits indexed by ``unit - lo``, equal to the per-trial calls."""
+    _check_probe(g, u, v, horizon)
+    if not _lockstep(hi - lo):
+        return np.array([return_probe_trial(g, seed, unit, u, v, horizon)
+                         for unit in range(lo, hi)], dtype=np.int64)
+    with np.errstate(over="ignore"):
+        parts = [_probe_lanes(g, seed, a, b, u, v, horizon)
+                 for a, b in _chunks(lo, hi, g.n)]
+    return np.concatenate(parts)
+
+
+# ---------------------------------------------------------------------------
 # cover-time estimation
 # ---------------------------------------------------------------------------
 
@@ -339,11 +507,11 @@ def cover_time_empirical(g: Graph, trials: int, seed: int, worst_start: bool = F
     else:
         pool = ()
         units = trials
-    starts = np.empty(units, dtype=np.int64)
-    steps = np.empty(units, dtype=np.int64)
-    for unit in range(units):
-        v = pool[unit // trials] if worst_start else start
-        starts[unit], steps[unit] = cover_trial(g, seed, unit, budget=budget, start=v)
+    if worst_start:
+        fixed = [pool[unit // trials] for unit in range(units)]
+    else:
+        fixed = None if start is None else [start] * units
+    starts, steps = cover_trials(g, seed, 0, units, budget, fixed)
     uncensored = steps[steps >= 0]
     mean, stderr, smallest, largest = step_moments(uncensored)
     per_start = None
@@ -386,11 +554,8 @@ def strong_cover_estimate(g: Graph, length: int, trials: int, seed: int,
     _check_length(length)
     _require_connected(g)
     pool = start_pool(g, seed)
-    starts = np.empty(trials, dtype=np.int64)
-    steps = np.empty(trials, dtype=np.int64)
-    for trial in range(trials):
-        v = pool[trial % len(pool)]
-        starts[trial], steps[trial] = cover_trial(g, seed, trial, budget=length, start=v)
+    starts, steps = cover_trials(g, seed, 0, trials, length,
+                                 [pool[trial % len(pool)] for trial in range(trials)])
     covered = int((steps >= 0).sum())
     lo, hi = exact_binomial_ci(covered, trials, ci_level)
     return StrongCoverEstimate(
@@ -506,9 +671,7 @@ def return_probe(g: Graph, u: int, v: int, horizon: int, trials: int, seed: int,
     _check_probe(g, u, v, horizon)
     if trials < 1:
         raise GraphError("trials must be >= 1")
-    hits = int(K.hit_within_count(g.indptr, g.indices, np.int64(u), np.int64(v),
-                                  np.int64(horizon), np.int64(trials),
-                                  np.uint64(seed & K.MASK64), np.int64(0)))
+    hits = int(probe_trials(g, seed, 0, trials, u, v, horizon).sum())
     lo, hi = exact_binomial_ci(hits, trials, ci_level)
     return ReturnProbeResult(
         u=u, v=v, horizon=horizon, trials=trials, hits=hits,

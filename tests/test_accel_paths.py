@@ -48,6 +48,13 @@ out["segment_hits"] = sv.segment_hits.tolist()
 bl = tl.blanket_time(g, 0, 0.1, 9)
 out["blanket"] = [bl.cover_step, bl.blanket_step]
 
+# numba runs these per trial, the interpreted path as lockstep lanes
+cw = tl.cover_time_empirical(g, 3, 17, worst_start=True)
+out["cover_worst"] = [cw.starts.tolist(), cw.cover_steps.tolist(), cw.worst_start]
+cd = tl.cover_time_empirical(g, 40, 17)
+out["cover_drawn"] = [cd.starts.tolist(), cd.cover_steps.tolist()]
+out["probe_hits"] = tl.return_probe(g, 0, 1, 30, 500, 19).hits
+
 print(json.dumps(out))
 """
 
@@ -68,7 +75,8 @@ def test_paths_agree():
     assert fast["numba"] is True
     assert plain["numba"] is False
     for key in ("uints", "ints", "floats", "visits", "edge_steps", "posa",
-                "ham_exact", "segment_hits", "blanket"):
+                "ham_exact", "segment_hits", "blanket", "cover_worst",
+                "cover_drawn", "probe_hits"):
         assert fast[key] == plain[key], key
     # float eigen results may differ in the last bits only
     for key in ("lambda2", "lambda_min"):

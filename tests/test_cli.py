@@ -181,6 +181,25 @@ def test_ci_level_param_rejected(capsys, tmp_path):
         assert code == 1 and "ci_level" in err
 
 
+def test_cover_param_types_exit_one(capsys, tmp_path):
+    """Cover params of the wrong type or range fail at parse, not as a
+    truthy string, a negative slice, a truncated float or a traceback."""
+    bad = [({"worst_start": "no"}, "worst_start"),
+           ({"worst_start": True, "sample_starts": -298}, "sample_starts"),
+           ({"worst_start": True, "sample_starts": 0}, "sample_starts"),
+           ({"budget": 2.5}, "budget"), ({"budget": True}, "budget"),
+           ({"budget": -1}, "budget"), ({"start": 1.5}, "start")]
+    for params, name in bad:
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps({
+            "version": 1, "experiment": "cover", "trials": 2, "seed": 0,
+            "graph": {"family": "random_regular", "n": 300, "d": 4, "seed": 0},
+            "params": params}))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(path),
+                               "--out", str(tmp_path / "res"))
+        assert code == 1 and f"params.{name}" in err, params
+
+
 def test_runtime_errors_exit_two(capsys, tmp_path):
     cfg = {
         "version": 1, "experiment": "counterexample",
