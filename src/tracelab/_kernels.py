@@ -246,21 +246,17 @@ def walk_trace(indptr, indices, eid, start, length, state, visits, first_visit,
 
 
 @kernel
-def hit_within_count(indptr, indices, u, v, horizon, trials, seed, index0):
-    """Count walks from ``u`` that reach ``v`` within ``horizon`` steps."""
-    hits = np.int64(0)
-    s = np.empty(4, dtype=np.uint64)
-    for trial in range(trials):
-        _stream(seed, np.int64(index0 + trial), s)
-        cur = np.int64(u)
-        for _ in range(horizon):
-            base = indptr[cur]
-            deg = indptr[cur + 1] - base
-            cur = np.int64(indices[base + _randint(s, deg)])
-            if cur == v:
-                hits += 1
-                break
-    return hits
+def hit_within_count(indptr, indices, u, v, horizon, state):
+    """1 when one walk from ``u`` reaches ``v`` within ``horizon`` steps,
+    else 0."""
+    cur = np.int64(u)
+    for _ in range(horizon):
+        base = indptr[cur]
+        deg = indptr[cur + 1] - base
+        cur = np.int64(indices[base + _randint(state, deg)])
+        if cur == v:
+            return np.int64(1)
+    return np.int64(0)
 
 
 @kernel

@@ -17,14 +17,11 @@ import numpy as np
 from . import _kernels as K
 from .graphs import (Graph, GraphError, VertexSet, connectivity_profile,
                      edges_between, internal_edges, neighbor_masks, popcounts)
-from .spectral import resistance_matrix
+from .spectral import DENSE_SOLVE_LIMIT, resistance_matrix
 
 
 class BudgetError(RuntimeError):
     """An exhaustive sweep would exceed its work budget."""
-
-
-_DENSE_HITTING_LIMIT = 2000
 
 
 def harmonic(k: int) -> float:
@@ -44,13 +41,12 @@ def hitting_times_to(g: Graph, v: int) -> np.ndarray:
 
     First-step equations with v absorbing: (I - Q) h = 1 on the other
     vertices, Q the walk restricted away from v. Dense LU keeps this exact
-    up to conditioning, so it is capped at moderate sizes; the resistance
-    route scales beyond.
+    up to conditioning; it shares the resistance solves' size cap.
     """
     if not (0 <= v < g.n):
         raise GraphError("vertex out of range")
-    if g.n > _DENSE_HITTING_LIMIT:
-        raise GraphError(f"dense hitting solve capped at n = {_DENSE_HITTING_LIMIT}")
+    if g.n > DENSE_SOLVE_LIMIT:
+        raise GraphError(f"dense hitting solve capped at n = {DENSE_SOLVE_LIMIT}")
     connected, _ = connectivity_profile(g)
     if not connected:
         raise GraphError("hitting times need a connected graph")
@@ -273,11 +269,10 @@ class ResistanceHittingTable:
         return foster_sum(g, self.resistance)
 
 
-def build_table(g: Graph, tol: float = 1e-10, max_iter: int | None = None,
-                hitting: str | None = None) -> ResistanceHittingTable:
+def build_table(g: Graph, hitting: str | None = None) -> ResistanceHittingTable:
     """Resistance table for ``g``; ``hitting`` in {None, "tetali", "exact"}
     additionally fills the hitting-time matrix by the named route."""
-    r = resistance_matrix(g, tol=tol, max_iter=max_iter)
+    r = resistance_matrix(g)
     h = None
     if hitting == "tetali":
         deg = g.degrees.astype(np.float64)

@@ -465,6 +465,10 @@ class TauResult:
 def _prefix_hamiltonian(trace: WalkTrace, upto: int, exact: bool, seed: int,
                         probe: int, budget: int | None) -> bool:
     g = trace_prefix_graph(trace, upto)
+    # a vertex of degree < 2 rules out a Hamilton cycle; answering here
+    # spares posa a search that would spend its whole rotation budget
+    if g.n < 3 or int(g.degrees.min()) < 2:
+        return False
     if exact:
         return hamiltonian_exact(g).found
     rot = None if budget is None else max(1, budget)

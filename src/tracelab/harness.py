@@ -58,6 +58,11 @@ _PARAM_KEYS: dict[str, set[str]] = {
     "bounds_sweep": {"n", "d", "eps", "ratios", "lambdas", "xi"},
     "counterexample": {"budget", "start", "cert_n", "cert_c"},
 }
+_OPTIONAL_INTS: dict[str, int | None] = {
+    "budget": 0, "start": None, "u": None, "v": None, "horizon": 1,
+    "max_rotations": None, "max_restarts": 0, "checker_budget": None,
+    "cert_n": None, "cert_c": None,
+}
 _WALK_REQUIRED = {"strong_cover", "visits", "trace_hamilton", "tau"}
 _WALK_ALLOWED = _WALK_REQUIRED | {"return_probe"}
 _DERIVED_GRAPH_SEED = {"trace_hamilton", "tau"}
@@ -213,17 +218,19 @@ class ExperimentConfig:
         if "sample_starts" in p:
             _expect(_int_field(p["sample_starts"], "params.sample_starts") >= 1,
                     "params.sample_starts must be >= 1")
-        # null budget / start keep their defaults (default budget, drawn start)
-        if p.get("budget") is not None:
-            _expect(_int_field(p["budget"], "params.budget") >= 0, "params.budget must be >= 0")
-        if p.get("start") is not None:
-            _int_field(p["start"], "params.start")
+        # integer params with their lower bounds; null keeps the default
+        for key, low in _OPTIONAL_INTS.items():
+            if p.get(key) is not None:
+                value = _int_field(p[key], f"params.{key}")
+                _expect(low is None or value >= low, f"params.{key} must be >= {low}")
+        if "c" in p:
+            _expect(_num_field(p["c"], "params.c") > 0, "params.c must be > 0")
         if exp == "blanket":
             _expect("delta" in p, "blanket needs params.delta")
             delta = _num_field(p["delta"], "params.delta")
             _expect(0.0 < delta < 1.0, "params.delta must be in (0, 1)")
         if exp == "return_probe":
-            if "horizon" not in p and self.walk_steps is None and self.walk_multiplier is None:
+            if p.get("horizon") is None and self.walk_steps is None and self.walk_multiplier is None:
                 _expect("c" in p, "return_probe needs horizon, a walk block, or c")
         if exp == "counterexample":
             _expect(spec.family == "counterexample",
@@ -285,6 +292,12 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # per-unit row computation
 # ---------------------------------------------------------------------------
+
+
+def _param(p: dict[str, Any], key: str, default: Any) -> Any:
+    """``p[key]``, with a missing or null value meaning ``default``."""
+    value = p.get(key)
+    return default if value is None else value
 
 
 def _derived_seeds(seed: int, unit: int, n: int) -> tuple[int, int, int]:
@@ -362,12 +375,11 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None,
         res = hamiltonian_posa(
             tg, wseed,
             max_rotations=p.get("max_rotations"),
-            max_restarts=int(p.get("max_restarts", 50)),
+            max_restarts=_param(p, "max_restarts", 50),
             stream=1)
         return [unit, gseed, wseed, 1, int(res.found),
                 res.work["rotations"], res.work["restarts"]]
-    if "start" in p:
-        start = int(p["start"])
+    start = _param(p, "start", start)
     res = tau_times(graph, start, length, wseed,
                     checker_budget=p.get("checker_budget"))
     return [unit, gseed, wseed, start, res.tau1, res.tau_hc,
@@ -386,7 +398,7 @@ def _cover_rows(cfg: ExperimentConfig, g: Graph, pool: tuple[int, ...] | None,
     elif pool is not None:
         starts = [pool[unit // cfg.trials] for unit in units]
     else:
-        start = p.get("start", 0 if cfg.experiment == "counterexample" else None)
+        start = _param(p, "start", 0 if cfg.experiment == "counterexample" else None)
         starts = None if start is None else [start] * len(units)
     vs, covers = cover_trials(g, cfg.seed, lo, hi, budget, starts)
     rows = []
@@ -406,7 +418,7 @@ def _probe_rows(cfg: ExperimentConfig, g: Graph, lo: int, hi: int) -> list[list]
         horizon = cfg.resolve_length(g.n)
     if horizon is None:
         horizon = int(round(g.n / math.sqrt(float(p["c"]))))
-    hits = probe_trials(g, cfg.seed, lo, hi, int(p.get("u", 0)), int(p.get("v", 1)),
+    hits = probe_trials(g, cfg.seed, lo, hi, _param(p, "u", 0), _param(p, "v", 1),
                         int(horizon))
     return [[unit, hit] for unit, hit in zip(range(lo, hi), hits.tolist())]
 
@@ -576,8 +588,8 @@ def _counterexample_cert(cfg: ExperimentConfig) -> dict[str, Any]:
     c = int(cfg.graph["c"])
     # the exact joinedness sweep is the binding cost: n = 16 keeps every
     # c >= 1 under the pair budget
-    cert_n = int(cfg.params.get("cert_n", min(int(cfg.graph["n"]), 16)))
-    cert_c = int(cfg.params.get("cert_c", c))
+    cert_n = _param(cfg.params, "cert_n", min(int(cfg.graph["n"]), 16))
+    cert_c = _param(cfg.params, "cert_c", c)
     spec = GenSpec(family="counterexample", n=cert_n, c=cert_c)
     cert = certify_expander(spec.build(), float(cert_c), mode="exact")
     return {

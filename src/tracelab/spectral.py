@@ -1,12 +1,12 @@
 """Spectral measurements: extreme adjacency eigenvalues, effective
 resistances through Laplacian solves, and total-variation mixing profiles.
 
-Graphs up to ``dense_limit`` vertices go through LAPACK (``numpy.linalg.eigh``)
-on the dense adjacency matrix; larger ones through power iteration on the
-shifted operators A + dI and dI - A restricted to the mean-zero subspace,
-which isolates the second-largest and smallest adjacency eigenvalues of a
-regular graph without forming the matrix. Resistances come from
-conjugate-gradient Laplacian solves, again on the mean-zero subspace.
+Graphs up to 512 vertices go through LAPACK (``numpy.linalg.eigh``) on the
+dense adjacency matrix; larger ones through one Lanczos run on the
+mean-zero subspace, whose Krylov basis gives both the second-largest and
+the smallest adjacency eigenvalue of a regular graph without forming the
+matrix. Resistances come from one dense LAPACK solve against the Laplacian,
+capped at ``DENSE_SOLVE_LIMIT`` vertices.
 """
 
 from __future__ import annotations
@@ -23,12 +23,19 @@ from .graphs import Graph, GraphError, connectivity_profile
 
 
 class SpectralError(RuntimeError):
-    """Iteration failed to reach its tolerance."""
+    """A solve or iteration failed to reach its tolerance."""
 
 
-# fixed, documented seed for the power-iteration start vectors; a numerical
-# detail, not an experiment seed
+# fixed, documented seed for the Lanczos start vector; a numerical detail,
+# not an experiment seed
 _EIGEN_SEED = 0x51B0
+
+# Above this many vertices eigen_extremes runs Lanczos instead of forming the
+# dense adjacency matrix.
+_DENSE_EIGEN_LIMIT = 512
+
+# Cap on the dense n x n solves (resistances here, hitting times in bounds).
+DENSE_SOLVE_LIMIT = 2000
 
 
 def _neighbor_sums(g: Graph, x: np.ndarray) -> np.ndarray:
@@ -53,8 +60,9 @@ class SpectralSummary:
     ``lambda_abs`` is max(|lambda2|, |lambda_min|), the quantity the walk
     bounds consume; ``ratio`` is d / lambda_abs. ``residual`` is the larger
     eigenpair residual norm(A x - lambda x) of the two returned eigenvalues,
-    on either path. ``iterations`` counts power-iteration steps and is 0 on
-    the dense path.
+    on either path. ``iterations`` counts the Lanczos path's matrix-vector
+    products (two of them for the explicit residuals) and is 0 on the dense
+    path.
     """
 
     n: int
@@ -81,47 +89,62 @@ class SpectralSummary:
         }
 
 
-def _power_extreme(g: Graph, d: int, sign: int, tol: float, max_iter: int):
-    """Top eigenvalue of d*I + sign*A on the mean-zero subspace.
+def _lanczos_extremes(g: Graph, d: int, tol: float):
+    """lambda2 and lambda_min of a regular graph from one Lanczos run.
 
-    Returns the corresponding adjacency eigenvalue (lambda2 for sign=+1,
-    lambda_min for sign=-1), the final residual, and iterations used.
+    The run stays on the mean-zero subspace, where lambda2 is the top of the
+    spectrum, and reorthogonalises every new vector against the whole basis.
+    It stops once the cheap residual bounds beta_k |s_k| of both extreme Ritz
+    pairs pass half of ``tol * 2d`` (the other half is room for roundoff in
+    the explicit residual norm(A y - theta y), which is what gets reported),
+    or when the subspace is exhausted. Returns
+    ``(lambda2, lambda_min, residual, matvecs)``.
     """
     n = g.n
-    x = K.stream_floats(_EIGEN_SEED, 0 if sign > 0 else 1, n) - 0.5
-    x -= x.mean()
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        x = np.zeros(n)
-        x[0], x[1] = 1.0, -1.0
-        nx = math.sqrt(2.0)
-    x /= nx
-    scale = max(2.0 * d, 1.0)
-    res = math.inf
-    for it in range(1, max_iter + 1):
-        y = d * x + sign * _neighbor_sums(g, x)
-        y -= y.mean()
-        rq = float(x @ y)
-        res = float(np.linalg.norm(y - rq * x))
-        if res <= tol * scale:
-            lam = rq - d if sign > 0 else d - rq
-            return lam, res, it
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            # x spans the kernel of the shifted operator: exact eigenpair
-            lam = rq - d if sign > 0 else d - rq
-            return lam, 0.0, it
-        x = y / ny
-    raise SpectralError(f"power iteration stalled at residual {res:.3e} after {max_iter} steps")
+    limit = tol * max(2.0 * d, 1.0)
+    q = K.stream_floats(_EIGEN_SEED, 0, n) - 0.5
+    q -= q.mean()
+    q /= np.linalg.norm(q)
+    # the basis grows by doubling: a full (n - 1) x n block is the dense
+    # matrix this path exists to avoid
+    basis = np.empty((min(64, n - 1), n))
+    alphas: list[float] = []
+    betas: list[float] = []
+    for k in range(n - 1):
+        if k == basis.shape[0]:
+            basis = np.vstack([basis, np.empty((min(k, n - 1 - k), n))])
+        basis[k] = q
+        w = _neighbor_sums(g, q)
+        w -= w.mean()
+        alphas.append(float(q @ w))
+        for _ in range(2):
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        beta = float(np.linalg.norm(w))
+        # the small eigh costs more than a matvec, so the stopping test runs
+        # every 8th step, at breakdown and on the last step
+        if beta <= limit / 2 or k % 8 == 7 or k == n - 2:
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            theta, s = np.linalg.eigh(t)
+            if beta * max(abs(s[-1, -1]), abs(s[-1, 0])) <= limit / 2 or k == n - 2:
+                break
+        betas.append(beta)
+        q = w / beta
+    matvecs = len(alphas)
+    residual = 0.0
+    for j in (-1, 0):
+        y = basis[:matvecs].T @ s[:, j]
+        residual = max(residual, float(np.linalg.norm(_neighbor_sums(g, y) - theta[j] * y)))
+    if residual > limit:
+        raise SpectralError(f"lanczos residual {residual:.3e} above {limit:.3e}")
+    return float(theta[-1]), float(theta[0]), residual, matvecs + 2
 
 
-def eigen_extremes(g: Graph, tol: float = 1e-8, max_iter: int = 200_000,
-                   method: str = "auto", dense_limit: int = 512) -> SpectralSummary:
+def eigen_extremes(g: Graph, tol: float = 1e-8, method: str = "auto") -> SpectralSummary:
     """Second-largest and smallest adjacency eigenvalues of a regular graph.
 
-    ``method`` is "dense" (LAPACK on the full matrix), "iterative" (shifted
-    power iteration), or "auto" (dense up to ``dense_limit`` vertices).
-    ``tol`` and ``max_iter`` bound the power iteration only.
+    ``method`` is "dense" (LAPACK on the full matrix), "iterative"
+    (Lanczos), or "auto" (dense up to 512 vertices). ``tol`` bounds the
+    Lanczos residual only, relative to 2d.
     """
     d = g.regular_degree
     if d is None:
@@ -129,7 +152,7 @@ def eigen_extremes(g: Graph, tol: float = 1e-8, max_iter: int = 200_000,
     if g.n < 2:
         raise GraphError("eigen_extremes needs at least two vertices")
     if method == "auto":
-        method = "dense" if g.n <= dense_limit else "iterative"
+        method = "dense" if g.n <= _DENSE_EIGEN_LIMIT else "iterative"
     if method == "dense":
         a = g.adjacency_matrix()
         evals, evecs = np.linalg.eigh(a)
@@ -139,10 +162,7 @@ def eigen_extremes(g: Graph, tol: float = 1e-8, max_iter: int = 200_000,
                        for k in (-2, 0))
         iterations = 0
     elif method == "iterative":
-        lam2, r2, i2 = _power_extreme(g, d, +1, tol, max_iter)
-        lam_min, rm, im = _power_extreme(g, d, -1, tol, max_iter)
-        residual = max(r2, rm)
-        iterations = i2 + im
+        lam2, lam_min, residual, iterations = _lanczos_extremes(g, d, tol)
     else:
         raise GraphError(f"unknown method {method!r}")
     lam_abs = max(abs(lam2), abs(lam_min))
@@ -157,81 +177,41 @@ def eigen_extremes(g: Graph, tol: float = 1e-8, max_iter: int = 200_000,
 # ---------------------------------------------------------------------------
 
 
-def _solve_laplacian(g: Graph, b: np.ndarray, tol: float, max_iter: int | None) -> np.ndarray:
-    """Mean-zero solution of L x = b by conjugate gradients.
+def _laplacian_solve(g: Graph, b: np.ndarray) -> np.ndarray:
+    """Mean-zero X with L X = B, for right-hand sides B with mean-zero columns.
 
-    The right side is projected onto the mean-zero subspace where the
-    Laplacian of a connected graph is positive definite; iterates are
-    re-projected each step to stop drift along the kernel.
+    L + J/n (J all ones) acts as L on the mean-zero subspace and as the
+    identity on the constants, so it is nonsingular on a connected graph and
+    one dense LAPACK solve gives X.
     """
-    n = g.n
-    deg = g.degrees.astype(np.float64)
-    b = b - b.mean()
-    bn = float(np.linalg.norm(b))
-    x = np.zeros(n)
-    if bn == 0.0:
-        return x
-    if max_iter is None:
-        max_iter = 20 * n + 200
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(max_iter):
-        q = deg * p - _neighbor_sums(g, p)
-        q -= q.mean()
-        denom = float(p @ q)
-        if denom <= 0.0:
-            raise SpectralError("laplacian solve broke down (graph connected?)")
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * q
-        r -= r.mean()
-        rs_next = float(r @ r)
-        if math.sqrt(rs_next) <= tol * bn:
-            x -= x.mean()
-            return x
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-    raise SpectralError(f"cg missed tolerance: residual {math.sqrt(rs):.3e} vs {tol * bn:.3e}")
+    if g.n > DENSE_SOLVE_LIMIT:
+        raise GraphError(f"dense resistance solve capped at n = {DENSE_SOLVE_LIMIT}")
+    connected, _ = connectivity_profile(g)
+    if not connected:
+        raise GraphError("effective resistance needs a connected graph")
+    return np.linalg.solve(g.laplacian_matrix() + 1.0 / g.n, b)
 
 
-def effective_resistance(g: Graph, u: int, v: int, tol: float = 1e-10,
-                         max_iter: int | None = None) -> float:
+def effective_resistance(g: Graph, u: int, v: int) -> float:
     """Two-point effective resistance with unit conductances on the edges."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError("vertex out of range")
     if u == v:
         return 0.0
-    connected, _ = connectivity_profile(g)
-    if not connected:
-        raise GraphError("effective resistance needs a connected graph")
     b = np.zeros(g.n)
     b[u] = 1.0
     b[v] = -1.0
-    x = _solve_laplacian(g, b, tol, max_iter)
+    x = _laplacian_solve(g, b)
     return float(x[u] - x[v])
 
 
-def resistance_matrix(g: Graph, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
-    """All-pairs effective resistances via n - 1 Laplacian solves.
-
-    Column v of the potential table is the mean-zero solution for the
-    source pair (v, 0); the pairwise combination
-    R[u, v] = X[u, u] + X[v, v] - X[u, v] - X[v, u] then covers every pair.
-    """
-    connected, _ = connectivity_profile(g)
-    if not connected:
-        raise GraphError("effective resistance needs a connected graph")
+def resistance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs effective resistances from the Laplacian pseudoinverse X:
+    R[u, v] = X[u, u] + X[v, v] - 2 X[u, v]."""
     n = g.n
-    x_cols = np.zeros((n, n))
-    b = np.zeros(n)
-    for v in range(1, n):
-        b[:] = 0.0
-        b[v] = 1.0
-        b[0] = -1.0
-        x_cols[:, v] = _solve_laplacian(g, b, tol, max_iter)
-    diag = np.diag(x_cols).copy()
-    r = diag[:, None] + diag[None, :] - x_cols - x_cols.T
+    x = _laplacian_solve(g, np.eye(n) - 1.0 / n)
+    diag = np.diag(x)
+    r = diag[:, None] + diag[None, :] - x - x.T
     np.fill_diagonal(r, 0.0)
     return r
 

@@ -257,8 +257,7 @@ def return_probe_trial(g: Graph, seed: int, unit: int, u: int, v: int,
     walk from u touches v within ``horizon`` steps."""
     _check_probe(g, u, v, horizon)
     return int(K.hit_within_count(g.indptr, g.indices, np.int64(u), np.int64(v),
-                                  np.int64(horizon), np.int64(1),
-                                  np.uint64(seed & K.MASK64), np.int64(unit)))
+                                  np.int64(horizon), K.stream_state(seed, unit)))
 
 
 # ---------------------------------------------------------------------------

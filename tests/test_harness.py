@@ -80,6 +80,56 @@ def test_param_validation():
     assert cfg.params["c"] == 16.0
 
 
+VALID_PARAMS = {"return_probe": {"horizon": 5}, "trace_hamilton": {}, "tau": {},
+                "counterexample": {}}
+COUNTEREXAMPLE = {"family": "counterexample", "n": 20, "c": 3}
+
+
+@pytest.mark.parametrize("experiment,bad", [
+    ("return_probe", {"horizon": 2.5}),
+    ("return_probe", {"horizon": 0}),
+    ("return_probe", {"horizon": True}),
+    ("return_probe", {"u": 0.9}),
+    ("return_probe", {"v": True}),
+    ("return_probe", {"c": -1}),
+    ("return_probe", {"c": 0}),
+    ("return_probe", {"c": "4"}),
+    ("return_probe", {"c": None}),
+    ("trace_hamilton", {"max_restarts": 2.5}),
+    ("trace_hamilton", {"max_restarts": -1}),
+    ("trace_hamilton", {"max_rotations": 2.5}),
+    ("tau", {"checker_budget": 2.5}),
+    ("counterexample", {"cert_n": 12.7}),
+    ("counterexample", {"cert_c": True}),
+])
+def test_probe_and_search_params_rejected_at_parse(experiment, bad):
+    data = dict(BASE, experiment=experiment, params=VALID_PARAMS[experiment])
+    if experiment in ("trace_hamilton", "tau"):
+        data["walk"] = {"multiplier": 2.0}
+    if experiment == "counterexample":
+        data["graph"] = COUNTEREXAMPLE
+    ExperimentConfig.from_dict(data)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(dict(data, params={**data["params"], **bad}))
+
+
+def test_null_params_keep_defaults():
+    for exp, params, walk in [
+        ("return_probe", {"horizon": 4, "u": None, "v": None, "c": 2.0}, None),
+        ("trace_hamilton", {"max_restarts": None, "max_rotations": None}, {"multiplier": 2.0}),
+        ("tau", {"start": None, "checker_budget": None}, {"multiplier": 2.0}),
+        ("counterexample", {"start": None, "cert_n": None, "cert_c": None}, None),
+    ]:
+        extra = {} if walk is None else {"walk": walk}
+        if exp == "counterexample":
+            extra["graph"] = COUNTEREXAMPLE
+        base = cfg_with(experiment=exp, trials=3,
+                        params={"horizon": 4} if exp == "return_probe" else {}, **extra)
+        nulls = cfg_with(experiment=exp, trials=3, params=params, **extra)
+        got, want = run_experiment(nulls, workers=1), run_experiment(base, workers=1)
+        assert (got.rows, got.stats) == (want.rows, want.stats), exp
+
+
 def test_derived_seed_experiments_reject_graph_seed():
     with pytest.raises(ConfigError):
         cfg_with(experiment="tau",

@@ -146,3 +146,38 @@ def test_spectral_summary_serializable():
     d = eigen_extremes(petersen_graph()).to_dict()
     assert d["n"] == 10 and d["d"] == 3
     assert d["lambda_abs"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("seed", [0, 2261692086460027444])
+def test_iterative_large_graphs_match_eigvalsh(seed):
+    """Power iteration needed 9,770 and 128,347 steps on these two graphs;
+    Lanczos needs a few hundred matvecs at most."""
+    g = random_regular(1000, 16, seed)
+    want2, want_min = eig_oracle(g)
+    s = eigen_extremes(g, method="iterative")
+    assert abs(s.lambda2 - want2) < 1e-9 * 16
+    assert abs(s.lambda_min - want_min) < 1e-9 * 16
+    assert s.iterations < 300
+    assert s.residual <= 1e-8 * 2 * 16
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(8), cycle_graph(5), petersen_graph(),
+    Graph.from_edges(4, [(0, 1), (2, 3)]), complete_graph(2),
+    random_regular(8, 4, 1),
+], ids=["K8", "C5", "petersen", "2K2", "K2", "rr8-4"])
+def test_iterative_breakdown_cases_match_eigvalsh(g):
+    """Graphs with few distinct eigenvalues exhaust the Krylov space early."""
+    want2, want_min = eig_oracle(g)
+    s = eigen_extremes(g, method="iterative")
+    assert abs(s.lambda2 - want2) < 1e-9
+    assert abs(s.lambda_min - want_min) < 1e-9
+    assert s.iterations <= g.n + 1
+
+
+def test_resistance_dense_cap():
+    g = cycle_graph(2001)
+    with pytest.raises(GraphError):
+        resistance_matrix(g)
+    with pytest.raises(GraphError):
+        effective_resistance(g, 0, 1)
