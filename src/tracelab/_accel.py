@@ -1,10 +1,12 @@
 """Kernel acceleration switch.
 
 Hot loops live in :mod:`tracelab._kernels` and are compiled with numba when
-it is importable, unless ``TRACELAB_NUMBA=0`` requests the interpreted numpy
-path. Both paths run the same source, so seeded integer results never depend
-on the switch; only throughput does. Float-valued kernels agree across paths
-to roundoff (the interpreted path may sum in a different order).
+it is importable, unless ``TRACELAB_NUMBA=0`` requests the interpreted path.
+There, the hottest kernels run as their Python-int twins in
+:mod:`tracelab._twins`, which compute exactly what the source computes, and
+the rest run the source on numpy scalars. Seeded integer results never
+depend on the switch; only throughput does. Float-valued kernels agree across
+paths to roundoff (the interpreted path may sum in a different order).
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import functools
 import os
 
 import numpy as np
+
+from . import _twins
 
 _FALSY = ("0", "false", "off", "no")
 
@@ -36,10 +40,11 @@ def kernel(fn):
     """Decorator for kernel entry points.
 
     Compiled with ``@njit(cache=True)`` when numba is active. On the
-    interpreted path the call runs under ``errstate(over="ignore")``:
-    the RNG arithmetic wraps uint64 on purpose, and numpy scalars warn
-    on wraparound where compiled code (and the C semantics it follows)
-    does not.
+    interpreted path a kernel with a twin in :mod:`tracelab._twins` becomes
+    that twin, whose ``__wrapped__`` still runs the source. The source runs
+    under ``errstate(over="ignore")``: the RNG arithmetic wraps uint64 on
+    purpose, and numpy scalars warn on wraparound where compiled code (and
+    the C semantics it follows) does not.
     """
     if NUMBA_ENABLED:
         return _njit(cache=True)(fn)
@@ -49,7 +54,11 @@ def kernel(fn):
         with np.errstate(over="ignore"):
             return fn(*args)
 
-    return wrapper
+    if fn.__name__ not in _twins.__all__:
+        return wrapper
+    twin = getattr(_twins, fn.__name__)
+    twin.__wrapped__ = wrapper
+    return twin
 
 
 def kernel_inner(fn):

@@ -1,9 +1,12 @@
-"""Hot numeric kernels shared by the numba and interpreted paths.
+"""Hot numeric kernels: the source numba compiles.
 
 Everything here is written against plain numpy arrays with explicit integer
-types so the exact same source compiles under ``@njit`` and runs interpreted.
-Integer-valued kernels (walks, shuffles, searches) are bit-identical on both
-paths. The float-valued matvec matches to roundoff only.
+types so the same source compiles under ``@njit`` and runs interpreted.
+Without numba, the draws, shuffles, walks and posa search run as their
+Python-int twins in :mod:`tracelab._twins` instead (``_accel.kernel`` swaps
+them in), and the rest run this source on numpy scalars. Integer-valued
+kernels (walks, shuffles, searches) are bit-identical on every path. The
+float-valued matvec matches to roundoff only.
 
 RNG: xoshiro256++ streams. A stream is addressed by ``(seed, index)``; its
 state is four splitmix64 outputs seeded at ``seed + GOLDEN * (index + 1)``.

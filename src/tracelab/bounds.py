@@ -288,7 +288,7 @@ def build_table(g: Graph, hitting: str | None = None) -> ResistanceHittingTable:
         raise ValueError("hitting must be None, 'tetali', or 'exact'")
     return ResistanceHittingTable(
         n=g.n, resistance=r, hitting=h,
-        resistance_method="laplacian-cg",
+        resistance_method="laplacian-dense",
         hitting_method=hitting,
     )
 

@@ -266,15 +266,22 @@ def return_probe_trial(g: Graph, seed: int, unit: int, u: int, v: int,
 
 # The interpreted backend runs a batch as lockstep lanes, lane i on stream
 # (seed, lo + i), each drawing exactly what its per-trial kernel would, and
-# drops a lane once its trial has ended. Below _MIN_LANES lanes the
-# per-trial kernels are faster. A chunk holds _CHUNK_CELLS // n lanes, so a
-# cover chunk's (lane, vertex) visited matrix stays within _CHUNK_CELLS.
-_MIN_LANES = 6
+# drops a lane once its trial has ended. Below _MIN_LANES cover lanes or
+# _MIN_PROBE_LANES probe lanes the per-trial kernels' Python-int twins are
+# faster: every lane step pays a fixed numpy cost that only many lanes
+# amortise, and a short per-trial probe pays mostly its set-up, so probes
+# cross over sooner (measured in CHANGES.md). A chunk holds
+# _CHUNK_CELLS // n lanes, so a cover chunk's (lane, vertex) visited matrix
+# stays within _CHUNK_CELLS.
+_MIN_LANES = 40
+_MIN_PROBE_LANES = 12
 _CHUNK_CELLS = 1 << 20
 
 
-def _lockstep(lanes: int) -> bool:
-    return not NUMBA_ENABLED and lanes >= _MIN_LANES
+def _lockstep(lanes: int, least: int | None = None) -> bool:
+    """Run a batch of ``lanes`` units as lanes? ``least`` defaults to
+    ``_MIN_LANES``."""
+    return not NUMBA_ENABLED and lanes >= (_MIN_LANES if least is None else least)
 
 
 def _chunks(lo: int, hi: int, n: int):
@@ -412,7 +419,7 @@ def probe_trials(g: Graph, seed: int, lo: int, hi: int, u: int, v: int,
     """``return_probe_trial`` for every unit in ``lo..hi-1``, as an int64
     array of hits indexed by ``unit - lo``, equal to the per-trial calls."""
     _check_probe(g, u, v, horizon)
-    if not _lockstep(hi - lo):
+    if not _lockstep(hi - lo, _MIN_PROBE_LANES):
         return np.array([return_probe_trial(g, seed, unit, u, v, horizon)
                          for unit in range(lo, hi)], dtype=np.int64)
     with np.errstate(over="ignore"):

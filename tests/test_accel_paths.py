@@ -1,6 +1,7 @@
-"""Both execution paths run the same kernel source; integer results must be
-bit-identical and float results equal to roundoff. The flag is read at
-import, so each path gets its own subprocess."""
+"""Numba compiles the kernel source; the interpreted path runs the
+Python-int twins of the hot kernels and the source of the rest. Integer
+results must be bit-identical and float results equal to roundoff. The flag
+is read at import, so each path gets its own subprocess."""
 
 import json
 import os
@@ -55,6 +56,18 @@ cd = tl.cover_time_empirical(g, 40, 17)
 out["cover_drawn"] = [cd.starts.tolist(), cd.cover_steps.tolist()]
 out["probe_hits"] = tl.return_probe(g, 0, 1, 30, 500, 19).hits
 
+stubs = np.repeat(np.arange(500, dtype=np.int64), 16)
+state = K.stream_state(23, 0)
+K.shuffle_ints(stubs, state)
+out["shuffle"] = [stubs.tolist(), state.tolist()]
+state = K.stream_state(21, 0)
+out["draw_2_63"] = [K.draw_ints(state, np.uint64(2**63 + 1), 40).tolist(), state.tolist()]
+hopeless = tl.Graph.from_edges(40, [(i, (i + 1) % 39) for i in range(39)] + [(0, 39)])
+res = tl.hamiltonian_posa(hopeless, 3, max_rotations=200, max_restarts=5)
+out["posa_exhausted"] = [res.status, res.work]
+tau = tl.tau_times(tl.random_regular(30, 6, 4), 0, 612, 1)
+out["tau"] = [tau.tau1, tau.tau_hc, tau.exact, tau.censored, tau.probes]
+
 print(json.dumps(out))
 """
 
@@ -76,7 +89,8 @@ def test_paths_agree():
     assert plain["numba"] is False
     for key in ("uints", "ints", "floats", "visits", "edge_steps", "posa",
                 "ham_exact", "segment_hits", "blanket", "cover_worst",
-                "cover_drawn", "probe_hits"):
+                "cover_drawn", "probe_hits", "shuffle", "draw_2_63",
+                "posa_exhausted", "tau"):
         assert fast[key] == plain[key], key
     # float eigen results may differ in the last bits only
     for key in ("lambda2", "lambda_min"):

@@ -76,7 +76,7 @@ def test_build_table_variants():
     t2 = build_table(g, hitting="exact")
     assert np.allclose(t.hitting, t2.hitting, atol=1e-8)
     assert np.allclose(np.diag(t.hitting), 0.0)
-    assert t.resistance_method == "laplacian-cg"
+    assert t.resistance_method == "laplacian-dense"
     ft = foster_sum(g, t.resistance)
     assert ft == pytest.approx(9.0, abs=1e-9)
 

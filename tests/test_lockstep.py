@@ -12,8 +12,10 @@ from tracelab import (GraphError, _kernels as K, complete_graph,
 
 @pytest.fixture
 def lockstep(monkeypatch):
-    """Run batches as lanes on either backend."""
+    """Run batches of any size as lanes on either backend."""
     monkeypatch.setattr(walks, "NUMBA_ENABLED", False)
+    monkeypatch.setattr(walks, "_MIN_LANES", 1)
+    monkeypatch.setattr(walks, "_MIN_PROBE_LANES", 1)
 
 
 def lanes_vs_trials(g, seed, lo, hi, budget=None, starts=None):
