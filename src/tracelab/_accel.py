@@ -2,9 +2,9 @@
 
 Hot loops live in :mod:`tracelab._kernels` and are compiled with numba when
 it is importable, unless ``TRACELAB_NUMBA=0`` requests the interpreted path.
-There, the hottest kernels run as their Python-int twins in
-:mod:`tracelab._twins`, which compute exactly what the source computes, and
-the rest run the source on numpy scalars. Seeded integer results never
+There, the hottest kernels run as their twins in :mod:`tracelab._twins`,
+which compute exactly what the source computes, and the rest run the source
+on numpy scalars. Seeded integer results never
 depend on the switch; only throughput does. Float-valued kernels agree across
 paths to roundoff (the interpreted path may sum in a different order).
 """

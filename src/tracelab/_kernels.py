@@ -2,11 +2,13 @@
 
 Everything here is written against plain numpy arrays with explicit integer
 types so the same source compiles under ``@njit`` and runs interpreted.
-Without numba, the draws, shuffles, walks and posa search run as their
-Python-int twins in :mod:`tracelab._twins` instead (``_accel.kernel`` swaps
-them in), and the rest run this source on numpy scalars. Integer-valued
-kernels (walks, shuffles, searches) are bit-identical on every path. The
-float-valued matvec matches to roundoff only.
+Without numba, the draws (``draw_uints``, ``draw_ints``), ``shuffle_ints``,
+the walks (``walk_stats``, the path kernel ``walk_trace``,
+``hit_within_count``), ``posa_cycle`` and the Held-Karp table ``ham_dp`` run
+as their twins in :mod:`tracelab._twins` instead (``_accel.kernel`` swaps
+them in), and the expander-mixing sweeps run this source on numpy scalars.
+Integer-valued kernels (walks, shuffles, searches) are bit-identical on
+every path.
 
 RNG: xoshiro256++ streams. A stream is addressed by ``(seed, index)``; its
 state is four splitmix64 outputs seeded at ``seed + GOLDEN * (index + 1)``.
@@ -212,40 +214,16 @@ def walk_stats(indptr, indices, start, length, delta, stop_mode, state, visits):
 
 
 @kernel
-def walk_trace(indptr, indices, eid, start, length, state, visits, first_visit,
-               edge_u, edge_v, edge_step, seen):
-    """Walk ``length`` steps recording the trace in first-traversal order.
-
-    ``eid`` maps each CSR slot to its undirected edge id. ``seen`` is a
-    zeroed uint8[m] scratch. New edges land in ``edge_u/edge_v`` (endpoints,
-    low first) and ``edge_step``; the return value is how many were written.
-    ``first_visit`` must come in filled with -1.
-    """
+def walk_trace(indptr, indices, start, length, state, path):
+    """Walk ``length`` steps from ``start``, writing the vertex sequence
+    into ``path`` (int64[length + 1]): ``path[t]`` is the vertex at step t."""
     cur = np.int64(start)
-    visits[cur] = 1
-    first_visit[cur] = 0
-    ne = np.int64(0)
+    path[0] = cur
     for step in range(1, length + 1):
         base = indptr[cur]
         deg = indptr[cur + 1] - base
-        k = base + _randint(state, deg)
-        nxt = np.int64(indices[k])
-        e = eid[k]
-        if seen[e] == 0:
-            seen[e] = 1
-            if cur < nxt:
-                edge_u[ne] = cur
-                edge_v[ne] = nxt
-            else:
-                edge_u[ne] = nxt
-                edge_v[ne] = cur
-            edge_step[ne] = step
-            ne += 1
-        cur = nxt
-        visits[cur] += 1
-        if first_visit[cur] < 0:
-            first_visit[cur] = step
-    return ne
+        cur = np.int64(indices[base + _randint(state, deg)])
+        path[step] = cur
 
 
 @kernel
@@ -260,54 +238,6 @@ def hit_within_count(indptr, indices, u, v, horizon, state):
         if cur == v:
             return np.int64(1)
     return np.int64(0)
-
-
-@kernel
-def segment_hits(indptr, indices, start, target, length, burn, window, state, visits):
-    """Segmented visit experiment for one walk.
-
-    Positions 0..length are cut into complete segments of ``burn + window``
-    positions; a segment scores when ``target`` is seen at an in-segment
-    offset >= ``burn``. The trailing partial segment is not scored but its
-    steps still land in ``visits``. Returns ``(segments, segments_hit)``.
-    """
-    seg_len = np.int64(burn + window)
-    nseg = np.int64((length + 1) // seg_len)
-    limit = nseg * seg_len
-    cur = np.int64(start)
-    nhit = np.int64(0)
-    hit = False
-    for p in range(0, length + 1):
-        if p > 0:
-            base = indptr[cur]
-            deg = indptr[cur + 1] - base
-            cur = np.int64(indices[base + _randint(state, deg)])
-        visits[cur] += 1
-        if p < limit:
-            pos = np.int64(p) % seg_len
-            if pos >= burn and cur == target:
-                hit = True
-            if pos == seg_len - 1:
-                if hit:
-                    nhit += 1
-                hit = False
-    return nseg, nhit
-
-
-# ---------------------------------------------------------------------------
-# linear algebra kernels
-# ---------------------------------------------------------------------------
-
-
-@kernel
-def adj_matvec(indptr, indices, x, out):
-    """out = A @ x for the CSR adjacency structure."""
-    n = indptr.size - 1
-    for i in range(n):
-        acc = 0.0
-        for k in range(indptr[i], indptr[i + 1]):
-            acc += x[indices[k]]
-        out[i] = acc
 
 
 # ---------------------------------------------------------------------------

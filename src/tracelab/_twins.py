@@ -1,12 +1,15 @@
-"""Python-int twins of the hot kernels, for the interpreted backend.
+"""Twins of the hot kernels, for the interpreted backend.
 
 Run without numba, the :mod:`tracelab._kernels` source works on numpy
 scalars, and every uint64 operation and array read pays for a boxed numpy
 value. Each function here computes what its ``_kernels`` namesake computes,
-the same draws, outputs, return value and final RNG state, on Python ints
-and lists instead: the xoshiro256++ state as four ints masked to 64 bits,
-the CSR as lists. Results are written back into the caller's arrays and
-``state``, so callers cannot tell the two apart.
+the same draws, outputs, return value and final RNG state, without that
+cost. The draws, ``shuffle_ints``, the walks (``walk_stats``, the path
+kernel ``walk_trace``, ``hit_within_count``) and ``posa_cycle`` run on
+Python ints and lists: the xoshiro256++ state as four ints masked to 64
+bits, the CSR as lists. ``ham_dp`` fills its table with whole-array numpy
+operations, one popcount layer at a time. Results are written back into the
+caller's arrays and ``state``, so callers cannot tell the two apart.
 
 ``_accel.kernel`` puts a twin in place of its namesake at import when numba
 is off; the numba path compiles the ``_kernels`` source and never calls
@@ -17,8 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graphs import popcounts
+
 __all__ = ["draw_uints", "draw_ints", "shuffle_ints", "walk_stats", "walk_trace",
-           "hit_within_count", "segment_hits", "posa_cycle"]
+           "hit_within_count", "posa_cycle", "ham_dp"]
 
 MASK64 = (1 << 64) - 1
 
@@ -115,42 +120,18 @@ def walk_stats(indptr, indices, start, length, delta, stop_mode, state, visits):
     return cover_step, blanket_step, steps
 
 
-def walk_trace(indptr, indices, eid, start, length, state, visits, first_visit,
-               edge_u, edge_v, edge_step, seen):
+def walk_trace(indptr, indices, start, length, state, path):
     ip = indptr.tolist()
     ix = indices.tolist()
-    ids = eid.tolist()
     s = state.tolist()
-    vis = visits.tolist()
-    first = first_visit.tolist()
-    used = seen.tolist()
-    us, vs, at = [], [], []
     cur = int(start)
-    vis[cur] = 1
-    first[cur] = 0
-    for step in range(1, int(length) + 1):
+    seq = [cur]
+    for _ in range(int(length)):
         base = ip[cur]
-        k = base + _randint(s, ip[cur + 1] - base)
-        nxt = ix[k]
-        e = ids[k]
-        if not used[e]:
-            used[e] = 1
-            us.append(min(cur, nxt))
-            vs.append(max(cur, nxt))
-            at.append(step)
-        cur = nxt
-        vis[cur] += 1
-        if first[cur] < 0:
-            first[cur] = step
-    ne = len(at)
-    edge_u[:ne] = us
-    edge_v[:ne] = vs
-    edge_step[:ne] = at
+        cur = ix[base + _randint(s, ip[cur + 1] - base)]
+        seq.append(cur)
+    path[:] = seq
     state[:] = s
-    visits[:] = vis
-    first_visit[:] = first
-    seen[:] = used
-    return ne
 
 
 def hit_within_count(indptr, indices, u, v, horizon, state):
@@ -168,37 +149,6 @@ def hit_within_count(indptr, indices, u, v, horizon, state):
             break
     state[:] = s
     return hit
-
-
-def segment_hits(indptr, indices, start, target, length, burn, window, state, visits):
-    ip = indptr.tolist()
-    ix = indices.tolist()
-    s = state.tolist()
-    vis = visits.tolist()
-    burn = int(burn)
-    target = int(target)
-    seg_len = burn + int(window)
-    nseg = (int(length) + 1) // seg_len
-    limit = nseg * seg_len
-    cur = int(start)
-    nhit = 0
-    hit = False
-    for p in range(int(length) + 1):
-        if p > 0:
-            base = ip[cur]
-            cur = ix[base + _randint(s, ip[cur + 1] - base)]
-        vis[cur] += 1
-        if p < limit:
-            pos = p % seg_len
-            if pos >= burn and cur == target:
-                hit = True
-            if pos == seg_len - 1:
-                if hit:
-                    nhit += 1
-                hit = False
-    state[:] = s
-    visits[:] = vis
-    return nseg, nhit
 
 
 def posa_cycle(indptr, indices, n, state, max_rotations, max_restarts, path, pos):
@@ -252,3 +202,26 @@ def posa_cycle(indptr, indices, n, state, max_rotations, max_restarts, path, pos
     if found:
         return 1, total_rot, restart
     return 0, total_rot, int(max_restarts)
+
+
+def ham_dp(nbr, n, dp):
+    # Masks in order of popcount: a mask's table entry reads only entries
+    # one bit smaller, so each layer is a handful of whole-array operations.
+    n = int(n)
+    size = 1 << n
+    dp[1] = 1
+    odd = np.arange(1, size, 2, dtype=np.int64)
+    odd_pc = popcounts(size)[odd]
+    for layer in range(2, n + 1):
+        lm = odd[odd_pc == layer]
+        if lm.size == 0:
+            continue
+        for v in range(1, n):
+            bit = np.int64(1) << v
+            mv = lm[(lm & bit) != 0]
+            if mv.size == 0:
+                continue
+            prev = mv ^ bit
+            ok = (dp[prev].astype(np.int64) & int(nbr[v])) != 0
+            dp[mv[ok]] |= np.uint32(bit)
+    return dp[size - 1]

@@ -117,15 +117,6 @@ class Graph:
         a[np.diag_indices(self.n)] = self.degrees.astype(np.float64)
         return a
 
-    def csr_edge_ids(self) -> np.ndarray:
-        """Undirected edge id for every CSR slot, ids in canonical edge order."""
-        lo, hi = self.edge_array()
-        keys = lo * self.n + hi
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        cols = self.indices.astype(np.int64)
-        slot_keys = np.minimum(rows, cols) * self.n + np.maximum(rows, cols)
-        return np.searchsorted(keys, slot_keys).astype(np.int64)
-
 
 def connectivity_profile(g: Graph) -> tuple[bool, bool]:
     """(connected, bipartite) by BFS 2-coloring over every component."""

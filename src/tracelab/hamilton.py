@@ -13,11 +13,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import _accel
 from . import _kernels as K
 from .bounds import BudgetError
-from .graphs import (Graph, GraphError, connectivity_profile, neighbor_masks,
-                     popcounts)
+from .graphs import Graph, GraphError, connectivity_profile, neighbor_masks
 from .walks import WalkTrace, simulate_walk, trace_graph, trace_prefix_graph
 
 _DP_LIMIT = 24
@@ -245,29 +243,6 @@ def verify_cycle(g: Graph, cycle: Sequence[int]) -> bool:
     return all(g.has_edge(seq[i], seq[(i + 1) % g.n]) for i in range(g.n))
 
 
-def _ham_dp_numpy(nbr: np.ndarray, n: int) -> np.ndarray:
-    """Interpreted twin of the subset DP: layer the odd masks by popcount
-    and push endpoint bitsets one vertex at a time."""
-    size = 1 << n
-    dp = np.zeros(size, dtype=np.uint32)
-    dp[1] = 1
-    odd = np.arange(1, size, 2, dtype=np.int64)
-    odd_pc = popcounts(size)[odd]
-    for layer in range(2, n + 1):
-        lm = odd[odd_pc == layer]
-        if lm.size == 0:
-            continue
-        for v in range(1, n):
-            bit = np.int64(1) << v
-            mv = lm[(lm & bit) != 0]
-            if mv.size == 0:
-                continue
-            prev = mv ^ bit
-            ok = (dp[prev].astype(np.int64) & int(nbr[v])) != 0
-            dp[mv[ok]] |= np.uint32(bit)
-    return dp
-
-
 def _reconstruct_cycle(dp: np.ndarray, nbr: np.ndarray, n: int) -> list[int]:
     full = (1 << n) - 1
     closing = int(dp[full]) & int(nbr[0])
@@ -292,10 +267,7 @@ def _exact_dp(g: Graph) -> CycleResult:
     n = g.n
     nbr = np.array(neighbor_masks(g), dtype=np.int64)
     dp = np.zeros(1 << n, dtype=np.uint32)
-    if _accel.NUMBA_ENABLED:
-        K.ham_dp(nbr, np.int64(n), dp)
-    else:
-        dp = _ham_dp_numpy(nbr, n)
+    K.ham_dp(nbr, np.int64(n), dp)
     work = {"masks": 1 << (n - 1)}
     if int(dp[(1 << n) - 1]) & int(nbr[0]):
         cycle = _reconstruct_cycle(dp, nbr, n)

@@ -55,7 +55,7 @@ _PARAM_KEYS: dict[str, set[str]] = {
     "return_probe": {"u", "v", "horizon", "c"},
     "trace_hamilton": {"max_rotations", "max_restarts"},
     "tau": {"start", "checker_budget"},
-    "bounds_sweep": {"n", "d", "eps", "ratios", "lambdas", "xi"},
+    "bounds_sweep": {"n", "d", "eps", "ratios", "lambdas"},
     "counterexample": {"budget", "start", "cert_n", "cert_c"},
 }
 _OPTIONAL_INTS: dict[str, int | None] = {
@@ -196,15 +196,24 @@ class ExperimentConfig:
         p = self.params
         exp = self.experiment
         if exp == "bounds_sweep":
-            _int_field(p.get("n"), "params.n")
-            _int_field(p.get("d"), "params.d")
+            _expect(_int_field(p.get("n"), "params.n") >= 2, "params.n must be >= 2")
+            d = _int_field(p.get("d"), "params.d")
+            _expect(d >= 1, "params.d must be >= 1")
+            if "eps" in p:
+                _expect(_num_field(p["eps"], "params.eps") > 0, "params.eps must be > 0")
             has_r = "ratios" in p
             has_l = "lambdas" in p
             _expect(has_r != has_l, "bounds_sweep needs exactly one of ratios/lambdas")
-            grid = p.get("ratios") if has_r else p.get("lambdas")
-            _expect(isinstance(grid, list) and grid, "grid must be a non-empty list")
+            key = "ratios" if has_r else "lambdas"
+            grid = p[key]
+            _expect(isinstance(grid, list) and grid, f"params.{key} must be a non-empty list")
             for x in grid:
-                _num_field(x, "grid entry")
+                x = _num_field(x, f"params.{key} entry")
+                if has_r:
+                    # lambda = d / ratio must lie in (0, d)
+                    _expect(1.0 < x < math.inf, "params.ratios entries must be finite and > 1")
+                else:
+                    _expect(0.0 < x < d, "params.lambdas entries must lie in (0, d)")
             return
         try:
             spec = self.graph_spec(seed_override=0 if exp in _DERIVED_GRAPH_SEED else None)

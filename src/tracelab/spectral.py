@@ -17,7 +17,6 @@ from typing import Any
 
 import numpy as np
 
-from . import _accel
 from . import _kernels as K
 from .graphs import Graph, GraphError, connectivity_profile
 
@@ -39,11 +38,7 @@ DENSE_SOLVE_LIMIT = 2000
 
 
 def _neighbor_sums(g: Graph, x: np.ndarray) -> np.ndarray:
-    """A @ x via the compiled kernel or a reduceat fallback."""
-    if _accel.NUMBA_ENABLED:
-        out = np.empty_like(x)
-        K.adj_matvec(g.indptr, g.indices, x, out)
-        return out
+    """A @ x: each row's neighbour entries summed with one ``reduceat``."""
     m = g.indices.size
     if m == 0:
         return np.zeros(g.n, dtype=x.dtype)

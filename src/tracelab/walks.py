@@ -124,39 +124,39 @@ class WalkTrace:
         return int(self.edge_u.size)
 
 
+def _walk_path(g: Graph, state: np.ndarray, start: int, length: int) -> np.ndarray:
+    """The ``length``-step vertex sequence from ``start`` on ``state``."""
+    path = np.empty(length + 1, dtype=np.int64)
+    K.walk_trace(g.indptr, g.indices, np.int64(start), np.int64(length), state, path)
+    return path
+
+
 def simulate_walk(g: Graph, start: int, length: int, seed: int, stream: int = 0) -> WalkTrace:
     """Run one walk of ``length`` steps from ``start`` on stream
-    ``(seed, stream)`` and record its trace."""
+    ``(seed, stream)`` and record its trace.
+
+    The walk's whole vertex path is held while the trace is built: 8
+    (length + 1) bytes, plus a few temporaries of that size.
+    """
     _check_start(g, start)
     _check_length(length)
     n = g.n
-    if n == 1:
-        if length > 0:
-            raise GraphError("cannot step on a single-vertex graph")
-        return WalkTrace(
-            n=1, start=start, length=0, seed=seed, stream=stream,
-            visit_counts=np.ones(1, dtype=np.int64),
-            first_visit_step=np.zeros(1, dtype=np.int64),
-            edge_u=np.empty(0, dtype=np.int32), edge_v=np.empty(0, dtype=np.int32),
-            edge_step=np.empty(0, dtype=np.int64),
-        )
-    m = g.edge_count
-    visits = np.zeros(n, dtype=np.int64)
+    if n == 1 and length > 0:
+        raise GraphError("cannot step on a single-vertex graph")
+    path = _walk_path(g, K.stream_state(seed, stream), start, length)
     first = np.full(n, -1, dtype=np.int64)
-    cap = min(length, m) + 1
-    edge_u = np.empty(cap, dtype=np.int32)
-    edge_v = np.empty(cap, dtype=np.int32)
-    edge_step = np.empty(cap, dtype=np.int64)
-    seen = np.zeros(m, dtype=np.uint8)
-    state = K.stream_state(seed, stream)
-    ne = int(K.walk_trace(g.indptr, g.indices, g.csr_edge_ids(),
-                          np.int64(start), np.int64(length), state,
-                          visits, first, edge_u, edge_v, edge_step, seen))
+    vertices, at = np.unique(path, return_index=True)
+    first[vertices] = at
+    lo = np.minimum(path[:-1], path[1:])
+    hi = np.maximum(path[:-1], path[1:])
+    # step - 1 of each edge's first traversal, in step order
+    new = np.unique(lo * n + hi, return_index=True)[1]
+    new.sort()
     return WalkTrace(
         n=n, start=start, length=length, seed=seed, stream=stream,
-        visit_counts=visits, first_visit_step=first,
-        edge_u=edge_u[:ne].copy(), edge_v=edge_v[:ne].copy(),
-        edge_step=edge_step[:ne].copy(),
+        visit_counts=np.bincount(path, minlength=n), first_visit_step=first,
+        edge_u=lo[new].astype(np.int32), edge_v=hi[new].astype(np.int32),
+        edge_step=new + 1,
     )
 
 
@@ -741,31 +741,30 @@ def segmented_visit_experiment(g: Graph, length: int, c: float, trials: int,
     seg_len = window + burn
     if length + 1 < seg_len:
         raise GraphError(f"length {length} shorter than one segment ({seg_len})")
-    nseg_expected = (length + 1) // seg_len
+    nseg = (length + 1) // seg_len
     starts = np.empty(trials, dtype=np.int64)
     targets = np.empty(trials, dtype=np.int64)
     seg_hits = np.empty(trials, dtype=np.int64)
     rho = np.empty(trials, dtype=np.float64)
-    visits = np.zeros(n, dtype=np.int64)
     logn = math.log(n)
     for trial in range(trials):
         state = K.stream_state(seed, trial)
         u, v = (int(x) for x in K.draw_ints(state, n, 2))
-        visits[:] = 0
-        nseg, nhit = K.segment_hits(g.indptr, g.indices, np.int64(u), np.int64(v),
-                                    np.int64(length), np.int64(burn), np.int64(window),
-                                    state, visits)
+        path = _walk_path(g, state, u, length)
+        # a segment scores when the target shows up after its burn-in; the
+        # trailing partial segment is not scored but its visits count
+        windows = path[:nseg * seg_len].reshape(nseg, seg_len)[:, burn:]
         starts[trial] = u
         targets[trial] = v
-        seg_hits[trial] = nhit
-        mn = int(visits.min())
+        seg_hits[trial] = np.count_nonzero((windows == v).any(axis=1))
+        mn = int(np.bincount(path, minlength=n).min())
         rho[trial] = (mn / logn) if mn > 0 else 0.0
-    total_segments = int(nseg_expected) * trials
+    total_segments = nseg * trials
     total_hits = int(seg_hits.sum())
     lo, hi = exact_binomial_ci(total_hits, total_segments, ci_level)
     return SegmentedVisitReport(
         length=length, trials=trials, seed=seed, c=c,
-        window=window, burn_in=burn, segments_per_trial=int(nseg_expected),
+        window=window, burn_in=burn, segments_per_trial=nseg,
         total_segments=total_segments, total_hits=total_hits,
         hit_frequency=total_hits / total_segments,
         ci_low=lo, ci_high=hi, ci_level=ci_level,

@@ -200,6 +200,28 @@ def test_cover_param_types_exit_one(capsys, tmp_path):
         assert code == 1 and f"params.{name}" in err, params
 
 
+@pytest.mark.parametrize("params, name", [
+    ({"n": 500, "d": 16, "lambdas": [20]}, "lambdas"),
+    ({"n": 500, "d": 16, "lambdas": [0]}, "lambdas"),
+    ({"n": 500, "d": 16, "ratios": [0]}, "ratios"),
+    ({"n": 500, "d": 16, "ratios": [1]}, "ratios"),
+    ({"n": 500, "d": 16, "ratios": [2.0], "eps": "x"}, "eps"),
+    ({"n": 500, "d": 16, "ratios": [2.0], "eps": 0}, "eps"),
+    ({"n": 1, "d": 16, "ratios": [2.0]}, "n"),
+    ({"n": 500, "d": 0, "ratios": [2.0]}, "d"),
+    ({"n": 500, "d": 16, "ratios": [2.0], "xi": 0.25}, "xi"),
+])
+def test_bounds_sweep_params_exit_one(capsys, tmp_path, params, name):
+    """Out-of-range sweep params fail at parse with an error line, not as a
+    traceback from the bound formulas; an unused xi is refused."""
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"version": 1, "experiment": "bounds_sweep",
+                                "seed": 0, "params": params}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(path),
+                           "--out", str(tmp_path / "res"))
+    assert code == 1 and err.startswith("error:") and name in err
+
+
 def test_runtime_errors_exit_two(capsys, tmp_path):
     cfg = {
         "version": 1, "experiment": "counterexample",

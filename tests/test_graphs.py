@@ -42,15 +42,6 @@ def test_edges_canonical_order():
     assert hi.tolist() == [1, 2, 3]
 
 
-def test_edge_ids_match_canonical_positions():
-    g = petersen_graph()
-    ids = g.csr_edge_ids()
-    edges = list(g.edges())
-    for v in range(g.n):
-        for w, eid in zip(g.neighbors(v), ids[g.indptr[v]:g.indptr[v + 1]]):
-            assert edges[eid] == (min(v, int(w)), max(v, int(w)))
-
-
 def test_adjacency_and_laplacian():
     g = cycle_graph(5)
     a = g.adjacency_matrix()

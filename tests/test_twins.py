@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from tracelab import (NUMBA_ENABLED, _kernels as K, _twins, complete_graph,
-                      counterexample_expander, cycle_graph, random_regular,
-                      simulate_walk, trace_graph)
+                      counterexample_expander, cycle_graph, path_graph,
+                      petersen_graph, random_regular, simulate_walk, trace_graph)
+from tracelab.graphs import neighbor_masks
 from tracelab.harness import ExperimentConfig, _derived_seeds
 
 GRAPHS = {
@@ -110,24 +111,9 @@ def test_walk_stats_single_vertex(mode):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_walk_trace(name):
     g = GRAPHS[name]
-    m = g.edge_count
     for length in (0, 7, 20 * g.n):
-        cap = min(length, m) + 1
-        both("walk_trace", g.indptr, g.indices, g.csr_edge_ids(), np.int64(2),
-             np.int64(length), K.stream_state(9, length),
-             np.zeros(g.n, dtype=np.int64), np.full(g.n, -1, dtype=np.int64),
-             np.full(cap, -5, dtype=np.int32), np.full(cap, -5, dtype=np.int32),
-             np.full(cap, -5, dtype=np.int64), np.zeros(m, dtype=np.uint8))
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_segment_hits_trailing_partial_segment(name):
-    g = GRAPHS[name]
-    # 104 positions: ten segments of ten and four trailing positions
-    got, _ = both("segment_hits", g.indptr, g.indices, np.int64(0), np.int64(1),
-                  np.int64(103), np.int64(4), np.int64(6), K.stream_state(4, 0),
-                  np.zeros(g.n, dtype=np.int64))
-    assert got[0] == 10
+        both("walk_trace", g.indptr, g.indices, np.int64(2), np.int64(length),
+             K.stream_state(9, length), np.full(length + 1, -5, dtype=np.int64))
 
 
 def test_hit_within_count():
@@ -172,3 +158,14 @@ def test_posa_exhausted():
     assert int(tg.degrees.min()) < 2
     got, _ = both("posa_cycle", *posa_args(tg, wseed, 100 * tg.n, 50))
     assert got[0] == 0 and got[1] > 0 and got[2] == 50
+
+
+@pytest.mark.parametrize("g, hamiltonian", [
+    (complete_graph(3), True), (cycle_graph(7), True), (path_graph(6), False),
+    (petersen_graph(), False), (random_regular(10, 3, 0), None),
+    (random_regular(8, 4, 1), None)])
+def test_ham_dp(g, hamiltonian):
+    nbr = np.array(neighbor_masks(g), dtype=np.int64)
+    got, _ = both("ham_dp", nbr, np.int64(g.n), np.zeros(1 << g.n, dtype=np.uint32))
+    if hamiltonian is not None:
+        assert bool(int(got) & int(nbr[0])) == hamiltonian

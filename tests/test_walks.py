@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from tracelab import _kernels as K
 from tracelab import (GraphError, blanket_time, blanket_trial, complete_graph,
-                      cover_stats, cover_time_empirical, cover_trial,
+                      counterexample_expander, cover_stats,
+                      cover_time_empirical, cover_trial,
                       cycle_graph, default_budget, min_visit_ratio,
                       path_graph, random_regular, return_probe,
                       return_probe_trial, segmented_visit_experiment,
@@ -231,6 +233,77 @@ def test_segmented_visit_experiment():
     # reproducible
     again = segmented_visit_experiment(g, 4000, 4.0, 25, 6)
     assert np.array_equal(rep.segment_hits, again.segment_hits)
+
+
+@pytest.mark.parametrize("g", [random_regular(60, 4, 1), counterexample_expander(30, 3),
+                               cycle_graph(12)], ids=["regular", "counterexample", "cycle"])
+def test_simulate_walk_matches_path_replay(g):
+    """Visits, first visits and the low-first trace edges in first-traversal
+    order, recounted from the path kernel's vertex sequence."""
+    for length in (0, 7, 20 * g.n):
+        path = np.empty(length + 1, dtype=np.int64)
+        K.walk_trace(g.indptr, g.indices, np.int64(2), np.int64(length),
+                     K.stream_state(9, 1), path)
+        visits = [0] * g.n
+        first = [-1] * g.n
+        edges = {}  # insertion order is first-traversal order
+        prev = None
+        for step, v in enumerate(path.tolist()):
+            visits[v] += 1
+            if first[v] < 0:
+                first[v] = step
+            if prev is not None:
+                assert g.has_edge(prev, v)
+                edges.setdefault((min(prev, v), max(prev, v)), step)
+            prev = v
+        tr = simulate_walk(g, 2, length, 9, stream=1)
+        assert tr.visit_counts.tolist() == visits
+        assert tr.first_visit_step.tolist() == first
+        assert list(zip(tr.edge_u.tolist(), tr.edge_v.tolist(), tr.edge_step.tolist())) \
+            == [(u, v, step) for (u, v), step in edges.items()]
+        assert [a.dtype for a in (tr.visit_counts, tr.first_visit_step, tr.edge_u,
+                                  tr.edge_v, tr.edge_step)] == ["int64"] * 2 + ["int32"] * 2 + ["int64"]
+
+
+def test_segmented_visits_match_plain_loop():
+    """Every trial walked again one draw per step: segment scores with a
+    trailing partial segment that is not scored, and rho over all visits.
+    Some segments see the target only at their last burn-in position, and
+    those must not score."""
+    g = cycle_graph(12)
+    # segments of 25 burn-in + 6 window positions; the trailing 30 reach
+    # into a window that must not score
+    length, c, trials, seed = 122, 4.0, 12, 1
+    rep = segmented_visit_experiment(g, length, c, trials, seed)
+    seg_len = rep.window + rep.burn_in
+    nseg = (length + 1) // seg_len
+    assert rep.segments_per_trial == nseg and (length + 1) % seg_len > rep.burn_in
+    trailing = late = 0
+    for trial in range(trials):
+        state = K.stream_state(seed, trial)
+        u, v = K.draw_ints(state, g.n, 2).tolist()
+        cur = u
+        visits = [0] * g.n
+        hit = [False] * (nseg + 1)
+        burn_end = [False] * (nseg + 1)
+        for p in range(length + 1):
+            if p:
+                nbrs = g.neighbors(cur)
+                cur = int(nbrs[K.draw_ints(state, nbrs.size, 1)[0]])
+            visits[cur] += 1
+            seg, pos = divmod(p, seg_len)
+            if pos >= rep.burn_in and cur == v:
+                hit[seg] = True
+            if pos == rep.burn_in - 1 and cur == v:
+                burn_end[seg] = True
+        trailing += hit[nseg]
+        late += sum(b and not h for b, h in zip(burn_end[:nseg], hit))
+        assert (rep.starts[trial], rep.targets[trial]) == (u, v)
+        assert rep.segment_hits[trial] == sum(hit[:nseg])
+        mn = min(visits)
+        assert rep.rho_values[trial] == (mn / math.log(g.n) if mn else 0.0)
+    assert 0 < rep.total_hits < rep.total_segments
+    assert trailing > 0 and late > 0
 
 
 def test_segmented_rejects_short_walk():
