@@ -187,9 +187,15 @@ def _run(args) -> int:
         return 0
 
     if args.command == "bounds":
+        if args.ratio is not None and not args.ratio > 0:
+            raise ConfigError("--ratio must be > 0")
         lam = args.lam if args.lam is not None else args.d / args.ratio
-        _dump(bounds_report(args.n, args.d, lam, eps=args.eps, xi=args.xi,
-                            convention=args.convention).to_dict())
+        try:
+            report = bounds_report(args.n, args.d, lam, eps=args.eps, xi=args.xi,
+                                   convention=args.convention)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        _dump(report.to_dict())
         return 0
 
     if args.command == "mixing":

@@ -212,8 +212,9 @@ class CycleResult:
     """Outcome of a cycle search.
 
     ``status`` is "found" (cycle attached, verified), "proven-absent"
-    (exhaustive methods only), or "budget-exhausted". ``work`` reports
-    method-specific effort counters.
+    (an exhaustive search, or any method when the degree certificate rules
+    a cycle out), or "budget-exhausted". ``work`` reports method-specific
+    effort counters.
     """
 
     status: str
@@ -229,6 +230,12 @@ class CycleResult:
         return {"status": self.status, "method": self.method,
                 "cycle": None if self.cycle is None else list(self.cycle),
                 "work": dict(self.work)}
+
+
+def _degree_rules_out_cycle(g: Graph) -> bool:
+    """Degree certificate: fewer than 3 vertices, or a vertex of degree < 2,
+    leaves no Hamilton cycle."""
+    return g.n < 3 or int(g.degrees.min()) < 2
 
 
 def verify_cycle(g: Graph, cycle: Sequence[int]) -> bool:
@@ -358,11 +365,11 @@ def hamiltonian_exact(g: Graph, method: str = "auto",
 
     Subset DP (complete and budget-free) up to 24 vertices; beyond that a
     pruned depth-first search that may return "budget-exhausted" instead of
-    an answer. Disconnected graphs and minimum degree < 2 short-circuit to
-    proven-absent.
+    an answer. Disconnected graphs and the degree certificate short-circuit
+    to proven-absent.
     """
     n = g.n
-    if n < 3 or int(g.degrees.min()) < 2 or not connectivity_profile(g)[0]:
+    if _degree_rules_out_cycle(g) or not connectivity_profile(g)[0]:
         return CycleResult(status="proven-absent", cycle=None, method="exact",
                            work={"masks": 0})
     if method == "auto":
@@ -378,14 +385,16 @@ def hamiltonian_exact(g: Graph, method: str = "auto",
 
 def hamiltonian_posa(g: Graph, seed: int, max_rotations: int | None = None,
                      max_restarts: int = 50, stream: int = 0) -> CycleResult:
-    """Randomized rotation-extension search (find-only, never a proof).
+    """Randomized rotation-extension search. It proves absence only through
+    the degree certificate, checked before any search; otherwise it either
+    finds a cycle or exhausts its budget.
 
     Defaults: 100 n rotations per restart, 50 restarts. A returned cycle is
     always verified before it leaves this function.
     """
     n = g.n
-    if n < 3:
-        return CycleResult(status="budget-exhausted", cycle=None, method="posa",
+    if _degree_rules_out_cycle(g):
+        return CycleResult(status="proven-absent", cycle=None, method="posa",
                            work={"rotations": 0, "restarts": 0})
     if max_rotations is None:
         max_rotations = 100 * n
@@ -437,10 +446,6 @@ class TauResult:
 def _prefix_hamiltonian(trace: WalkTrace, upto: int, exact: bool, seed: int,
                         probe: int, budget: int | None) -> bool:
     g = trace_prefix_graph(trace, upto)
-    # a vertex of degree < 2 rules out a Hamilton cycle; answering here
-    # spares posa a search that would spend its whole rotation budget
-    if g.n < 3 or int(g.degrees.min()) < 2:
-        return False
     if exact:
         return hamiltonian_exact(g).found
     rot = None if budget is None else max(1, budget)

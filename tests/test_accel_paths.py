@@ -65,6 +65,10 @@ out["draw_2_63"] = [K.draw_ints(state, np.uint64(2**63 + 1), 40).tolist(), state
 hopeless = tl.Graph.from_edges(40, [(i, (i + 1) % 39) for i in range(39)] + [(0, 39)])
 res = tl.hamiltonian_posa(hopeless, 3, max_rotations=200, max_restarts=5)
 out["posa_exhausted"] = [res.status, res.work]
+# hopeless has a degree-1 vertex and is answered before the kernel runs;
+# Petersen (minimum degree 3, no Hamilton cycle) exhausts the kernel's budget
+res = tl.hamiltonian_posa(tl.petersen_graph(), 3, max_rotations=200, max_restarts=5)
+out["posa_petersen"] = [res.status, res.work]
 tau = tl.tau_times(tl.random_regular(30, 6, 4), 0, 612, 1)
 out["tau"] = [tau.tau1, tau.tau_hc, tau.exact, tau.censored, tau.probes]
 
@@ -90,7 +94,7 @@ def test_paths_agree():
     for key in ("uints", "ints", "floats", "visits", "edge_steps", "posa",
                 "ham_exact", "segment_hits", "blanket", "cover_worst",
                 "cover_drawn", "probe_hits", "shuffle", "draw_2_63",
-                "posa_exhausted", "tau"):
+                "posa_exhausted", "posa_petersen", "tau"):
         assert fast[key] == plain[key], key
     # float eigen results may differ in the last bits only
     for key in ("lambda2", "lambda_min"):

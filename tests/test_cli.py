@@ -222,6 +222,19 @@ def test_bounds_sweep_params_exit_one(capsys, tmp_path, params, name):
     assert code == 1 and err.startswith("error:") and name in err
 
 
+@pytest.mark.parametrize("args", [
+    ("--n", "500", "--d", "16", "--lam", "20"),
+    ("--n", "500", "--d", "16", "--ratio", "0"),
+    ("--n", "1", "--d", "16", "--ratio", "4"),
+    ("--n", "500", "--d", "16", "--ratio", "4", "--eps", "-1"),
+    ("--n", "500", "--d", "16", "--ratio", "4", "--xi", "2"),
+])
+def test_bounds_bad_input_exits_one(capsys, args):
+    """Out-of-range bounds arguments end in an error line, not a traceback."""
+    code, out, err = run_cli(capsys, "bounds", *args)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_runtime_errors_exit_two(capsys, tmp_path):
     cfg = {
         "version": 1, "experiment": "counterexample",

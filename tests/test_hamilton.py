@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from tracelab import (BudgetError, Graph, GraphError, HamiltonError,
                       counterexample_expander, cycle_graph, hamiltonian_exact,
                       hamiltonian_posa, neighborhood, path_graph,
                       petersen_graph, random_regular, simulate_walk,
-                      tau_times, trace_prefix_graph, verify_cycle)
+                      tau_times, trace_graph, trace_prefix_graph,
+                      verify_cycle)
 from tracelab import _kernels as K
+from tracelab import harness
 
 
 def star_graph(n):
@@ -186,9 +189,47 @@ def test_posa_reproducible():
 
 
 def test_posa_budget_exhaustion():
+    """Petersen has minimum degree 3 and no Hamilton cycle: the degree
+    certificate passes, so the search runs and spends its whole budget."""
     res = hamiltonian_posa(petersen_graph(), 0, max_rotations=50, max_restarts=2)
     assert res.status == "budget-exhausted"
     assert res.cycle is None
+    assert res.work["restarts"] == 2 and res.work["rotations"] > 0
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5)]),
+    Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+], ids=["degree-1", "isolated"])
+def test_posa_degree_certificate(g):
+    """A vertex of degree < 2 answers proven-absent before any search."""
+    res = hamiltonian_posa(g, 0)
+    assert res.status == "proven-absent" and res.cycle is None
+    assert res.work == {"rotations": 0, "restarts": 0}
+
+
+CRITERION_7 = harness.ExperimentConfig.from_dict({
+    "version": 1, "experiment": "trace_hamilton",
+    "graph": {"family": "random_regular", "n": 200, "d": 16},
+    "trials": 50, "seed": 2024, "walk": {"multiplier": 1.5}})
+
+
+def test_criterion_7_trial_48_certified_without_search():
+    """Criterion 7's trial 48 (seed 2024): the walk covers and its trace has
+    a degree-1 vertex, so posa answers at once and the harness row records
+    no search work."""
+    gseed, wseed, start = harness._derived_seeds(CRITERION_7.seed, 48, 200)
+    graph = CRITERION_7.graph_spec(seed_override=gseed).build()
+    tg = trace_graph(simulate_walk(graph, start, CRITERION_7.resolve_length(200), wseed))
+    assert int(tg.degrees.min()) == 1
+    t0 = time.perf_counter()
+    res = hamiltonian_posa(tg, wseed, stream=1)
+    assert time.perf_counter() - t0 < 0.1
+    assert res.status == "proven-absent"
+    row = harness._row_range(CRITERION_7, None, None, 48, 49)[0]
+    cols = harness.COLUMNS["trace_hamilton"]
+    got = {c: row[cols.index(c)] for c in ("covered", "found", "rotations", "restarts")}
+    assert got == {"covered": 1, "found": 0, "rotations": 0, "restarts": 0}
 
 
 def test_tau_invariants():
