@@ -6,9 +6,9 @@ Without numba, the draws (``draw_uints``, ``draw_ints``), ``shuffle_ints``,
 the walks (``walk_stats``, the path kernel ``walk_trace``,
 ``hit_within_count``), ``posa_cycle`` and the Held-Karp table ``ham_dp`` run
 as their twins in :mod:`tracelab._twins` instead (``_accel.kernel`` swaps
-them in), and the expander-mixing sweeps run this source on numpy scalars.
-Integer-valued kernels (walks, shuffles, searches) are bit-identical on
-every path.
+them in). Only the expander-mixing pair scan runs this source on numpy
+scalars. Integer-valued kernels (walks, shuffles, searches) are
+bit-identical on every path.
 
 RNG: xoshiro256++ streams. A stream is addressed by ``(seed, index)``; its
 state is four splitmix64 outputs seeded at ``seed + GOLDEN * (index + 1)``.
@@ -157,6 +157,16 @@ def shuffle_ints(arr, state):
         tmp = arr[i]
         arr[i] = arr[j]
         arr[j] = tmp
+
+
+def shuffles(n: int, seed: int, index: int):
+    """Endless Fisher-Yates shuffles of 0..n-1 on stream ``(seed, index)``;
+    every item is the same array, reshuffled in place."""
+    state = stream_state(seed, index)
+    order = np.arange(n, dtype=np.int64)
+    while True:
+        shuffle_ints(order, state)
+        yield order
 
 
 # ---------------------------------------------------------------------------
@@ -357,26 +367,8 @@ def ham_dp(nbr, n, dp):
 
 
 # ---------------------------------------------------------------------------
-# exact expander-mixing sweeps (n <= 16)
+# exact expander-mixing pair scan (n <= 16)
 # ---------------------------------------------------------------------------
-
-
-@kernel
-def subset_edge_counts(nbr, n, pop, e):
-    """Fill e[S] = number of edges inside S, for every subset mask S.
-
-    Peels the lowest vertex v of S: e[S] = e[S - v] + |N(v) & (S - v)|.
-    ``pop`` is a 16-bit popcount table.
-    """
-    top = np.int64(1) << np.int64(n)
-    for m in range(1, top):
-        low = np.int64(m) & (-np.int64(m))
-        v = np.int64(0)
-        while ((low >> v) & 1) == 0:
-            v += 1
-        rest = np.int64(m) ^ low
-        x = nbr[v] & rest
-        e[m] = e[rest] + pop[x & 0xFFFF] + pop[(x >> 16) & 0xFFFF]
 
 
 @kernel

@@ -120,7 +120,9 @@ class Graph:
 
 def connectivity_profile(g: Graph) -> tuple[bool, bool]:
     """(connected, bipartite) by BFS 2-coloring over every component."""
-    color = np.full(g.n, -1, dtype=np.int8)
+    indptr = g.indptr.tolist()
+    indices = g.indices.tolist()
+    color = [-1] * g.n
     bipartite = True
     components = 0
     for root in range(g.n):
@@ -132,8 +134,7 @@ def connectivity_profile(g: Graph) -> tuple[bool, bool]:
         while q:
             x = q.popleft()
             cx = color[x]
-            for y in g.neighbors(x):
-                y = int(y)
+            for y in indices[indptr[x]:indptr[x + 1]]:
                 if color[y] < 0:
                     color[y] = 1 - cx
                     q.append(y)
@@ -212,6 +213,22 @@ def neighbor_masks(g: Graph) -> list[int]:
             acc |= 1 << int(w)
         out.append(acc)
     return out
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """Bitmask of a vertex set: bit v is set for every v in ``vertices``."""
+    acc = 0
+    for v in vertices:
+        acc |= 1 << v
+    return acc
+
+
+def union_of(nbr: list[int], vertices: Iterable[int]) -> int:
+    """OR of the neighbour masks ``nbr[v]`` over ``vertices``."""
+    acc = 0
+    for v in vertices:
+        acc |= nbr[v]
+    return acc
 
 
 def popcounts(top: int) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import _kernels as K
 from .bounds import BudgetError
-from .graphs import Graph, GraphError, connectivity_profile, neighbor_masks
+from .graphs import (Graph, GraphError, connectivity_profile, mask_of,
+                     neighbor_masks, union_of)
 from .walks import WalkTrace, simulate_walk, trace_graph, trace_prefix_graph
 
 _DP_LIMIT = 24
@@ -57,20 +58,6 @@ class ExpanderCheck:
         }
 
 
-def _mask_of(vertices) -> int:
-    acc = 0
-    for v in vertices:
-        acc |= 1 << v
-    return acc
-
-
-def _union_of(nbr: list[int], vertices) -> int:
-    acc = 0
-    for v in vertices:
-        acc |= nbr[v]
-    return acc
-
-
 def _check_sweep(c: float, mode: str, samples: int) -> None:
     if c < 1.0:
         raise GraphError("c must be >= 1")
@@ -79,16 +66,6 @@ def _check_sweep(c: float, mode: str, samples: int) -> None:
             raise GraphError("samples must be >= 1")
     elif mode != "exact":
         raise GraphError(f"unknown mode {mode!r}")
-
-
-def _shuffles(n: int, seed: int):
-    """Endless Fisher-Yates shuffles of 0..n-1 on stream ``(seed, 0)``; every
-    item is the same array, reshuffled in place."""
-    state = K.stream_state(seed, 0)
-    order = np.arange(n, dtype=np.int64)
-    while True:
-        K.shuffle_ints(order, state)
-        yield order
 
 
 def _sweep(kind: str, c: float, mode: str, set_size: int, candidates,
@@ -126,12 +103,12 @@ def check_expansion(g: Graph, c: float, mode: str = "exact", samples: int = 64,
                 f"exact expansion sweep needs {total} sets (budget {budget}); use sampled mode")
         sets = (x for s in range(1, cap + 1) for x in itertools.combinations(range(n), s))
     else:
-        orders = _shuffles(n, seed)
+        orders = K.shuffles(n, seed, 0)
         sets = (tuple(sorted(order[:s].tolist())) for s in range(1, cap + 1)
                 for order in itertools.islice(orders, samples))
 
     def violates(x):
-        return (_union_of(nbr, x) & ~_mask_of(x)).bit_count() < c * len(x)
+        return (union_of(nbr, x) & ~mask_of(x)).bit_count() < c * len(x)
 
     return _sweep("expansion", c, mode, cap, sets, violates)
 
@@ -165,11 +142,11 @@ def check_joinedness(g: Graph, c: float, mode: str = "exact", samples: int = 64,
             raise GraphError("cannot draw two disjoint sets of that size")
         pairs = ((tuple(sorted(order[:size].tolist())),
                   tuple(sorted(order[size:2 * size].tolist())))
-                 for order in itertools.islice(_shuffles(n, seed), samples))
+                 for order in itertools.islice(K.shuffles(n, seed, 0), samples))
 
     def violates(pair):
         a, b = pair
-        return _union_of(nbr, a) & _mask_of(b) == 0
+        return union_of(nbr, a) & mask_of(b) == 0
 
     return _sweep("joinedness", c, mode, size, pairs, violates)
 
@@ -212,8 +189,8 @@ class CycleResult:
     """Outcome of a cycle search.
 
     ``status`` is "found" (cycle attached, verified), "proven-absent"
-    (an exhaustive search, or any method when the degree certificate rules
-    a cycle out), or "budget-exhausted". ``work`` reports method-specific
+    (an exhaustive search, or any method when the Hamilton certificate
+    rules a cycle out), or "budget-exhausted". ``work`` reports method-specific
     effort counters.
     """
 
@@ -232,10 +209,10 @@ class CycleResult:
                 "work": dict(self.work)}
 
 
-def _degree_rules_out_cycle(g: Graph) -> bool:
-    """Degree certificate: fewer than 3 vertices, or a vertex of degree < 2,
-    leaves no Hamilton cycle."""
-    return g.n < 3 or int(g.degrees.min()) < 2
+def _rules_out_cycle(g: Graph) -> bool:
+    """Hamilton certificate: fewer than 3 vertices, a vertex of degree < 2,
+    or a disconnected graph leaves no Hamilton cycle."""
+    return g.n < 3 or int(g.degrees.min()) < 2 or not connectivity_profile(g)[0]
 
 
 def verify_cycle(g: Graph, cycle: Sequence[int]) -> bool:
@@ -365,11 +342,11 @@ def hamiltonian_exact(g: Graph, method: str = "auto",
 
     Subset DP (complete and budget-free) up to 24 vertices; beyond that a
     pruned depth-first search that may return "budget-exhausted" instead of
-    an answer. Disconnected graphs and the degree certificate short-circuit
-    to proven-absent.
+    an answer. The Hamilton certificate (n < 3, a vertex of degree < 2, or
+    a disconnected graph) short-circuits to proven-absent.
     """
     n = g.n
-    if _degree_rules_out_cycle(g) or not connectivity_profile(g)[0]:
+    if _rules_out_cycle(g):
         return CycleResult(status="proven-absent", cycle=None, method="exact",
                            work={"masks": 0})
     if method == "auto":
@@ -386,14 +363,15 @@ def hamiltonian_exact(g: Graph, method: str = "auto",
 def hamiltonian_posa(g: Graph, seed: int, max_rotations: int | None = None,
                      max_restarts: int = 50, stream: int = 0) -> CycleResult:
     """Randomized rotation-extension search. It proves absence only through
-    the degree certificate, checked before any search; otherwise it either
+    the Hamilton certificate (n < 3, a vertex of degree < 2, or a
+    disconnected graph), checked before any search; otherwise it either
     finds a cycle or exhausts its budget.
 
     Defaults: 100 n rotations per restart, 50 restarts. A returned cycle is
     always verified before it leaves this function.
     """
     n = g.n
-    if _degree_rules_out_cycle(g):
+    if _rules_out_cycle(g):
         return CycleResult(status="proven-absent", cycle=None, method="posa",
                            work={"rotations": 0, "restarts": 0})
     if max_rotations is None:

@@ -60,7 +60,7 @@ _PARAM_KEYS: dict[str, set[str]] = {
 }
 _OPTIONAL_INTS: dict[str, int | None] = {
     "budget": 0, "start": None, "u": None, "v": None, "horizon": 1,
-    "max_rotations": None, "max_restarts": 0, "checker_budget": None,
+    "max_rotations": 1, "max_restarts": 0, "checker_budget": 1,
     "cert_n": None, "cert_c": None,
 }
 _WALK_REQUIRED = {"strong_cover", "visits", "trace_hamilton", "tau"}

@@ -78,9 +78,7 @@ def start_pool(g: Graph, seed: int, limit: int = 200,
         raise GraphError("sample must be >= 1")
     if g.n <= limit:
         return tuple(range(g.n))
-    order = np.arange(g.n, dtype=np.int64)
-    state = K.stream_state(seed, AUX_STREAM)
-    K.shuffle_ints(order, state)
+    order = next(K.shuffles(g.n, seed, AUX_STREAM))
     return tuple(int(v) for v in order[:sample])
 
 

@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tracelab import (binomial_cdf, binomial_tail_bound, bounds_report,
-                      build_table, complete_graph, cover_time_spectral_bound,
-                      cycle_graph, exact_binomial_ci, expander_mixing_check,
+from tracelab import (GraphError, VertexSet, binomial_cdf,
+                      binomial_tail_bound, bounds_report, build_table,
+                      complete_graph, cover_time_spectral_bound, cycle_graph,
+                      edges_between, exact_binomial_ci, expander_mixing_check,
                       foster_sum, harmonic, hitting_time_exact,
-                      hitting_time_tetali, hitting_times_to, matthews_bounds,
-                      mixing_time_bound, paley_zygmund_lower, path_graph,
+                      hitting_time_tetali, hitting_times_to, internal_edges,
+                      matthews_bounds, mixing_time_bound, paley_zygmund_lower, path_graph,
                       petersen_graph, random_regular, resistance_bounds,
                       resistance_matrix, visit_lower_bound)
 
@@ -218,3 +219,67 @@ def test_mixing_check_flags_true_violation():
     """With lambda understated the lemma must break somewhere."""
     rep = expander_mixing_check(petersen_graph(), 0.4)
     assert rep.violations > 0
+
+
+def brute_mixing_counts(g):
+    """(s, e(S)) for every nonempty S and (s, t, e(S, T)) for every unordered
+    disjoint pair, counted through the public VertexSet helpers."""
+    n = g.n
+    full = (1 << n) - 1
+    sets = {m: VertexSet.of(n, [v for v in range(n) if m >> v & 1])
+            for m in range(1, full + 1)}
+    singles = [(len(sv), internal_edges(g, sv)) for sv in sets.values()]
+    pairs = []
+    for a, sv in sets.items():
+        comp = full ^ a
+        b = comp
+        while b:
+            if a < b:
+                tv = sets[b]
+                pairs.append((len(sv), len(tv), edges_between(g, sv, tv)))
+            b = (b - 1) & comp
+    return singles, pairs
+
+
+@pytest.mark.parametrize("g", [cycle_graph(8), complete_graph(6), random_regular(8, 3, 1),
+                               random_regular(8, 4, 2)],
+                         ids=["C8", "K6", "rr8-3", "rr8-4"])
+def test_mixing_check_exact_matches_brute_force(g):
+    n, d = g.n, g.regular_degree
+    singles, pairs = brute_mixing_counts(g)
+    for lam in (0.4, 1.0, 2.0, 2.9):
+        dev = [abs(e - d * s * s / (2.0 * n)) for s, e in singles]
+        allow = [lam * s / 2.0 for s, _ in singles]
+        devp = [abs(e - d * s * t / n) for s, t, e in pairs]
+        allowp = [lam * math.sqrt(s * t) for s, t, _ in pairs]
+        rep = expander_mixing_check(g, lam)
+        assert rep.singles_checked == len(singles)
+        assert rep.pairs_checked == len(pairs)
+        assert rep.single_max_ratio == pytest.approx(
+            max(x / y for x, y in zip(dev, allow)), rel=1e-12)
+        assert rep.pair_max_ratio == pytest.approx(
+            max(x / y for x, y in zip(devp, allowp)), rel=1e-12)
+        assert rep.violations == (sum(x > y + 1e-9 for x, y in zip(dev, allow))
+                                  + sum(x > y + 1e-9 for x, y in zip(devp, allowp)))
+
+
+@pytest.mark.parametrize("g,lam,seed,want", [
+    (cycle_graph(40), 0.5, 7, (1.8, 0.8, 40, 1)),
+    (random_regular(64, 8, 2), 2.0, 0, (0.5, 0.375, 48, 0)),
+    (random_regular(64, 8, 2), 2.0, 7, (0.375, 0.625, 48, 0)),
+    (random_regular(500, 16, 0), 5.0, 0, (0.1226, 0.0872, 64, 0)),
+], ids=["C40", "rr64-seed0", "rr64-seed7", "rr500"])
+def test_mixing_check_sampled_pinned(g, lam, seed, want):
+    """Sampled audits draw from shuffles on stream (seed, 0); the pinned
+    figures hold the draws and the bitmask edge counts fixed."""
+    rep = expander_mixing_check(g, lam, mode="sampled", samples=8, seed=seed)
+    assert rep.pairs_checked == rep.singles_checked
+    assert (rep.single_max_ratio, rep.pair_max_ratio, rep.singles_checked,
+            rep.violations) == want
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_mixing_check_rejects_nonpositive_lam(lam, mode):
+    with pytest.raises(GraphError):
+        expander_mixing_check(petersen_graph(), lam, mode=mode, samples=8)

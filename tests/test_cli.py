@@ -115,6 +115,14 @@ def test_mixing_subcommand(capsys):
     assert json.loads(out)["violations"] == 0
 
 
+@pytest.mark.parametrize("lam", ["0", "-1"])
+@pytest.mark.parametrize("mode", ["exact", "sampled:8"])
+def test_mixing_nonpositive_lam_exits_one(capsys, lam, mode):
+    code, out, err = run_cli(capsys, "mixing", "--family", "petersen", "--n", "10",
+                             f"--lam={lam}", "--mode", mode)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_experiment_subcommand(capsys, tmp_path):
     cfg = {
         "version": 1, "experiment": "cover",

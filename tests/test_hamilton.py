@@ -60,6 +60,21 @@ def test_expansion_sampled_mode():
     assert chk.passed
 
 
+def test_sampled_witnesses_pinned():
+    """Sampled sweeps draw their sets from shuffles on stream (seed, 0); the
+    pinned witnesses and counts hold the draws and the mask tests fixed."""
+    chk = check_expansion(random_regular(50, 6, 50), 6.0, mode="sampled",
+                          samples=16, seed=3)
+    assert (chk.passed, chk.checked, chk.witness) == (False, 17, (15, 26))
+    chk = check_joinedness(cycle_graph(100), 10.0, mode="sampled", samples=8, seed=4)
+    assert (chk.passed, chk.checked) == (False, 3)
+    assert chk.witness == ((34, 42, 47, 52, 98), (6, 24, 30, 44, 62))
+    chk = check_joinedness(random_regular(60, 4, 1), 6.0, mode="sampled",
+                           samples=8, seed=2)
+    assert (chk.passed, chk.checked) == (False, 7)
+    assert chk.witness == ((5, 17, 23, 32, 34), (30, 41, 45, 46, 50))
+
+
 def test_expansion_budget():
     g = random_regular(128, 8, 0)
     with pytest.raises(BudgetError):
@@ -206,6 +221,16 @@ def test_posa_degree_certificate(g):
     res = hamiltonian_posa(g, 0)
     assert res.status == "proven-absent" and res.cycle is None
     assert res.work == {"rotations": 0, "restarts": 0}
+
+
+def test_disconnected_graph_certified_by_both_searches():
+    """Two disjoint triangles: minimum degree 2, but disconnected, so both
+    searches answer proven-absent and posa spends no search work."""
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    res = hamiltonian_posa(g, 1)
+    assert res.status == "proven-absent" and res.cycle is None
+    assert res.work == {"rotations": 0, "restarts": 0}
+    assert hamiltonian_exact(g).status == "proven-absent"
 
 
 CRITERION_7 = harness.ExperimentConfig.from_dict({

@@ -98,7 +98,11 @@ COUNTEREXAMPLE = {"family": "counterexample", "n": 20, "c": 3}
     ("trace_hamilton", {"max_restarts": 2.5}),
     ("trace_hamilton", {"max_restarts": -1}),
     ("trace_hamilton", {"max_rotations": 2.5}),
+    ("trace_hamilton", {"max_rotations": 0}),
+    ("trace_hamilton", {"max_rotations": -5}),
     ("tau", {"checker_budget": 2.5}),
+    ("tau", {"checker_budget": 0}),
+    ("tau", {"checker_budget": -7}),
     ("counterexample", {"cert_n": 12.7}),
     ("counterexample", {"cert_c": True}),
 ])

@@ -189,6 +189,8 @@ def test_start_pool():
     assert len(set(pool)) == 32
     assert pool == start_pool(big, 5)
     assert pool != start_pool(big, 6)
+    # the first shuffle of 0..n-1 on stream (5, AUX_STREAM)
+    assert pool[:8] == (227, 299, 62, 297, 279, 243, 44, 59)
 
 
 def test_return_probe():
