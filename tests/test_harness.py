@@ -98,13 +98,13 @@ COUNTEREXAMPLE = {"family": "counterexample", "n": 20, "c": 3}
     ("trace_hamilton", {"max_restarts": 2.5}),
     ("trace_hamilton", {"max_restarts": -1}),
     ("trace_hamilton", {"max_rotations": 2.5}),
-    ("trace_hamilton", {"max_rotations": 0}),
-    ("trace_hamilton", {"max_rotations": -5}),
     ("tau", {"checker_budget": 2.5}),
-    ("tau", {"checker_budget": 0}),
-    ("tau", {"checker_budget": -7}),
     ("counterexample", {"cert_n": 12.7}),
     ("counterexample", {"cert_c": True}),
+    ("trace_hamilton", {"max_rotations": 0}),
+    ("trace_hamilton", {"max_rotations": -5}),
+    ("tau", {"checker_budget": 0}),
+    ("tau", {"checker_budget": -7}),
 ])
 def test_probe_and_search_params_rejected_at_parse(experiment, bad):
     data = dict(BASE, experiment=experiment, params=VALID_PARAMS[experiment])
