@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from . import _kernels as K
+from ._accel import one_blas_thread
 from .graphs import (Graph, GraphError, connectivity_profile, mask_of,
                      neighbor_masks, popcounts)
 from .spectral import DENSE_SOLVE_LIMIT, resistance_matrix
@@ -58,7 +59,8 @@ def hitting_times_to(g: Graph, v: int) -> np.ndarray:
     deg = g.degrees.astype(np.float64)
     p = g.adjacency_matrix() / deg[:, None]
     a = np.eye(n - 1) - p[np.ix_(idx, idx)]
-    h = np.linalg.solve(a, np.ones(n - 1))
+    with one_blas_thread():
+        h = np.linalg.solve(a, np.ones(n - 1))
     out = np.zeros(n)
     out[idx] = h
     return out
@@ -279,7 +281,8 @@ def build_table(g: Graph, hitting: str | None = None) -> ResistanceHittingTable:
         deg = g.degrees.astype(np.float64)
         total = float(deg.sum())
         # vectorized form of the per-pair identity
-        du = r @ deg
+        with one_blas_thread():
+            du = r @ deg
         h = 0.5 * (total * r - du[:, None] + du[None, :])
     elif hitting == "exact":
         h = np.zeros((g.n, g.n))
@@ -490,14 +493,26 @@ def exact_binomial_ci(hits: int, trials: int, level: float = 0.95) -> tuple[floa
     alpha = 1.0 - level
 
     def _solve(target: float, k: int) -> float:
-        # p with binomial_cdf(trials, p, k) == target; cdf decreases in p
+        # p with binomial_cdf(trials, p, k) == target; cdf decreases in p.
+        # The p-free part of each log pmf is formed once, in _binom_logpmf's
+        # order, so each step sums the same floats binomial_cdf would (its
+        # cap at 1 cannot change a comparison with target < 1).
+        head = math.lgamma(trials + 1)
+        coef = [head - math.lgamma(j + 1) - math.lgamma(trials - j + 1) for j in range(k + 1)]
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if binomial_cdf(trials, mid, k) > target:
+            lp, lq = math.log(mid), math.log1p(-mid)
+            cdf = math.fsum(math.exp(c + j * lp + (trials - j) * lq)
+                            for j, c in enumerate(coef))
+            # once mid is lo or hi, this update leaves a fixed point
+            settled = mid == lo or mid == hi
+            if cdf > target:
                 lo = mid
             else:
                 hi = mid
+            if settled:
+                break
         return 0.5 * (lo + hi)
 
     lower = 0.0 if hits == 0 else _solve(1.0 - alpha / 2.0, hits - 1)

@@ -235,6 +235,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "hamilton":
+        if args.ham_command == "cycle" and args.budget is not None and args.budget < 1:
+            raise ConfigError("--budget must be >= 1")
         g = _graph_from_args(args)
         if args.ham_command == "certify":
             mode, k = _parse_mode(args.mode)

@@ -17,7 +17,7 @@ from . import _kernels as K
 from .bounds import BudgetError
 from .graphs import (Graph, GraphError, connectivity_profile, mask_of,
                      neighbor_masks, union_of)
-from .walks import WalkTrace, simulate_walk, trace_graph, trace_prefix_graph
+from .walks import WalkTrace, simulate_walk, trace_prefix_graph
 
 _DP_LIMIT = 24
 

@@ -25,6 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import _kernels as K
+from ._accel import blas_info
 from .bounds import cover_time_spectral_bound, exact_binomial_ci
 from .generate import GenSpec
 from .graphs import Graph, GraphError
@@ -588,7 +589,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     stats = summarize(cfg.experiment, rows)
     if cfg.experiment == "counterexample":
         stats.update(_counterexample_cert(cfg))
-    meta = {"wall_clock_s": time.perf_counter() - t0, "workers": workers}
+    meta = {"wall_clock_s": time.perf_counter() - t0, "workers": workers,
+            "blas": blas_info()}
     return ExperimentResult(config=cfg, columns=COLUMNS[cfg.experiment], rows=rows,
                             stats=stats, meta=meta, csv_path=None, json_path=None)
 

@@ -7,6 +7,13 @@ mean-zero subspace, whose Krylov basis gives both the second-largest and
 the smallest adjacency eigenvalue of a regular graph without forming the
 matrix. Resistances come from one dense LAPACK solve against the Laplacian,
 capped at ``DENSE_SOLVE_LIMIT`` vertices.
+
+Every dense solve here, and the hitting-time solve in :mod:`tracelab.bounds`,
+runs on one BLAS thread (``_accel.one_blas_thread``). A threaded ``eigh``
+splits its work by thread count, so at n = 512 its last bits differed
+between one and two threads; pinned, every float depends on the inputs
+alone. OpenBLAS's idle threads also busy-wait after each threaded call,
+which cost more CPU than the threads saved at these sizes.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import _kernels as K
+from ._accel import one_blas_thread
 from .graphs import Graph, GraphError, connectivity_profile
 
 
@@ -84,6 +92,7 @@ class SpectralSummary:
         }
 
 
+@one_blas_thread()
 def _lanczos_extremes(g: Graph, d: int, tol: float):
     """lambda2 and lambda_min of a regular graph from one Lanczos run.
 
@@ -150,11 +159,12 @@ def eigen_extremes(g: Graph, tol: float = 1e-8, method: str = "auto") -> Spectra
         method = "dense" if g.n <= _DENSE_EIGEN_LIMIT else "iterative"
     if method == "dense":
         a = g.adjacency_matrix()
-        evals, evecs = np.linalg.eigh(a)
+        with one_blas_thread():
+            evals, evecs = np.linalg.eigh(a)
+            residual = max(float(np.linalg.norm(a @ evecs[:, k] - evals[k] * evecs[:, k]))
+                           for k in (-2, 0))
         lam2 = float(evals[-2])
         lam_min = float(evals[0])
-        residual = max(float(np.linalg.norm(a @ evecs[:, k] - evals[k] * evecs[:, k]))
-                       for k in (-2, 0))
         iterations = 0
     elif method == "iterative":
         lam2, lam_min, residual, iterations = _lanczos_extremes(g, d, tol)
@@ -184,7 +194,8 @@ def _laplacian_solve(g: Graph, b: np.ndarray) -> np.ndarray:
     connected, _ = connectivity_profile(g)
     if not connected:
         raise GraphError("effective resistance needs a connected graph")
-    return np.linalg.solve(g.laplacian_matrix() + 1.0 / g.n, b)
+    with one_blas_thread():
+        return np.linalg.solve(g.laplacian_matrix() + 1.0 / g.n, b)
 
 
 def effective_resistance(g: Graph, u: int, v: int) -> float:

@@ -187,6 +187,19 @@ def test_exact_binomial_ci():
     assert binomial_cdf(10, hi, 3) == pytest.approx(0.025, abs=1e-7)
 
 
+@pytest.mark.parametrize("hits, trials, level, want_lo, want_hi", [
+    (230, 1000, 0.99, "0x1.9299b9cae6bbcp-3", "0x1.106a962ae451cp-2"),
+    (2400, 10000, 0.99, "0x1.d52563eea08bep-3", "0x1.0133a88557a6cp-2"),
+    (3, 10, 0.95, "0x1.115d731dc017ap-4", "0x1.4e0e4cca611dap-1"),
+    (199, 200, 0.95, "0x1.f1e6073db686cp-1", "0x1.ffef68a540024p-1"),
+])
+def test_exact_binomial_ci_pinned_bits(hits, trials, level, want_lo, want_hi):
+    """The interval ends are the bisection's, to the last bit: the summary
+    JSON reports them, and the criteria read them."""
+    lo, hi = exact_binomial_ci(hits, trials, level)
+    assert (lo.hex(), hi.hex()) == (want_lo, want_hi)
+
+
 @pytest.mark.skipif(not HAS_SCIPY, reason="scipy not installed")
 def test_exact_binomial_ci_vs_beta_quantiles():
     for hits, trials in [(3, 10), (50, 200), (1, 7), (199, 200)]:

@@ -84,6 +84,16 @@ def test_hamilton_cycle_subcommand(capsys):
     assert d["status"] == "found" and len(d["cycle"]) == 8
 
 
+@pytest.mark.parametrize("method", ["posa", "exact"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_hamilton_cycle_budget_below_one_exits_one(capsys, method, budget):
+    """A search with no budget cannot answer; it is refused, not reported
+    as budget-exhausted."""
+    code, out, err = run_cli(capsys, "hamilton", "cycle", "--family", "complete",
+                             "--n", "8", "--method", method, "--budget", budget)
+    assert code == 1 and out == "" and "--budget" in err and err.startswith("error:")
+
+
 def test_hamilton_certify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "hamilton", "certify", "--family",
                            "counterexample", "--n", "16", "--c", "2")

@@ -1,7 +1,6 @@
 import math
 import time
 
-import numpy as np
 import pytest
 
 from tracelab import (BudgetError, Graph, GraphError, HamiltonError,

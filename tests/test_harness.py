@@ -316,6 +316,15 @@ def test_workers_env(monkeypatch):
         run_experiment(cfg)
 
 
+def test_meta_names_blas():
+    """The summary names the BLAS library the dense solves ran on."""
+    from tracelab._accel import blas_info
+    res = run_experiment(cfg_with(trials=2))
+    assert res.meta["blas"] == blas_info()
+    assert set(res.meta["blas"]) == {"library", "one_thread"}
+    assert res.meta["blas"]["one_thread"] == (res.meta["blas"]["library"] is not None)
+
+
 def test_evaluate_checks():
     stats = {"mean": 30.0, "censored": 0}
     assert evaluate_checks(stats, {"max_mean": 35.0, "min_mean": 10.0}) == []

@@ -5,6 +5,9 @@ forms; the package's own solvers never grade their own homework.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,3 +184,40 @@ def test_resistance_dense_cap():
         resistance_matrix(g)
     with pytest.raises(GraphError):
         effective_resistance(g, 0, 1)
+
+
+BLAS_PROBE = """
+from tracelab import eigen_extremes, random_regular, resistance_matrix
+s = eigen_extremes(random_regular(512, 16, 5), method="dense")
+r = resistance_matrix(random_regular(200, 16, 3))
+print(s.lambda2.hex(), s.lambda_min.hex(), s.residual.hex(), float(r.sum()).hex())
+"""
+
+
+def run_blas_probe(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_dense_floats_ignore_blas_thread_count():
+    """The dense solves run on one BLAS thread, so their bits cannot depend
+    on how many the process was given."""
+    assert run_blas_probe("1") == run_blas_probe("2")
+
+
+def test_one_blas_thread_pins_and_restores():
+    from tracelab._accel import _openblas, blas_info, one_blas_thread
+    if not _openblas():
+        pytest.skip("no OpenBLAS thread-count symbols in this process")
+    get_threads = _openblas()[2]
+    before = get_threads()
+    with one_blas_thread():
+        assert get_threads() == 1
+        with one_blas_thread():
+            assert get_threads() == 1
+        assert get_threads() == 1
+    assert get_threads() == before
+    assert blas_info()["one_thread"] and "openblas" in blas_info()["library"]
