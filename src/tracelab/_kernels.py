@@ -6,9 +6,12 @@ Without numba, the draws (``draw_uints``, ``draw_ints``), ``shuffle_ints``,
 the walks (``walk_stats``, the path kernel ``walk_trace``,
 ``hit_within_count``), ``posa_cycle`` and the Held-Karp table ``ham_dp`` run
 as their twins in :mod:`tracelab._twins` instead (``_accel.kernel`` swaps
-them in). Only the expander-mixing pair scan runs this source on numpy
-scalars. Integer-valued kernels (walks, shuffles, searches) are
-bit-identical on every path.
+them in). From ``_twins.BLOCK_MIN`` draws on, the draw, shuffle and path
+twins draw their raw outputs in numpy blocks and replay the scalar loop
+whenever a draw would be rejected. Only the expander-mixing pair scan runs
+this source on numpy scalars. Integer-valued kernels (walks, shuffles,
+searches) are bit-identical on every path, and so is ``stream_floats``,
+which converts ``draw_uints`` outputs.
 
 RNG: xoshiro256++ streams. A stream is addressed by ``(seed, index)``; its
 state is four splitmix64 outputs seeded at ``seed + GOLDEN * (index + 1)``.
@@ -37,7 +40,6 @@ _R30 = np.uint64(30)
 _R31 = np.uint64(31)
 _R41 = np.uint64(41)
 _R45 = np.uint64(45)
-_R11 = np.uint64(11)
 
 MASK64 = (1 << 64) - 1
 
@@ -96,11 +98,6 @@ def _randint(s, n):
     return np.int64(r % bound)
 
 
-@kernel_inner
-def _randf(s):
-    return np.float64(_next64(s) >> _R11) * 1.1102230246251565e-16
-
-
 def stream_state(seed: int, index: int) -> np.ndarray:
     """State of stream ``(seed, index)`` as a fresh uint64[4] array."""
     s = np.empty(4, dtype=np.uint64)
@@ -140,13 +137,9 @@ def stream_ints(seed: int, index: int, count: int, bound: int) -> np.ndarray:
 
 
 def stream_floats(seed: int, index: int, count: int) -> np.ndarray:
-    """``count`` iid uniform floats in [0, 1) on stream ``(seed, index)``."""
-    s = stream_state(seed, index)
-    out = np.empty(count, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        for i in range(count):
-            out[i] = _randf(s)
-    return out
+    """``count`` iid uniform floats in [0, 1) on stream ``(seed, index)``:
+    the top 53 bits of each raw output, times 2**-53."""
+    return (stream_uints(seed, index, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 @kernel

@@ -111,41 +111,43 @@ class GenSpec:
 # ---------------------------------------------------------------------------
 
 
-def _suitable(stubs: np.ndarray, taken: set[int], n: int) -> bool:
+def _is_taken(keys: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Which ``keys`` are in ``taken``: sorted edge keys ``lo * n + hi`` and,
+    last, a sentinel above every key, so every search lands inside."""
+    return taken[np.searchsorted(taken, keys)] == keys
+
+
+def _suitable(stubs: np.ndarray, taken: np.ndarray, n: int) -> bool:
     # Is there any pairable (distinct, unused) pair among the leftover stubs?
-    verts = sorted(set(int(x) for x in stubs))
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            if a * n + b not in taken:
-                return True
+    verts = np.flatnonzero(np.bincount(stubs))
+    for i in range(verts.size - 1):
+        if not _is_taken(verts[i] * n + verts[i + 1:], taken).all():
+            return True
     return False
 
 
 def _pairing_attempt(n: int, d: int, state: np.ndarray, max_rounds: int):
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    taken: set[int] = set()
-    edges: list[tuple[int, int]] = []
+    taken = np.array([n * n], dtype=np.int64)
+    lows: list[np.ndarray] = []
+    highs: list[np.ndarray] = []
     for _ in range(max_rounds):
         K.shuffle_ints(stubs, state)
-        leftover: list[int] = []
-        for i in range(0, stubs.size, 2):
-            a = int(stubs[i])
-            b = int(stubs[i + 1])
-            if a == b:
-                leftover.append(a)
-                leftover.append(b)
-                continue
-            lo, hi = (a, b) if a < b else (b, a)
-            key = lo * n + hi
-            if key in taken:
-                leftover.append(a)
-                leftover.append(b)
-                continue
-            taken.add(key)
-            edges.append((lo, hi))
-        if not leftover:
-            return edges
-        stubs = np.asarray(leftover, dtype=np.int64)
+        pairs = stubs.reshape(-1, 2)
+        lo = pairs.min(axis=1)
+        hi = pairs.max(axis=1)
+        keys = lo * n + hi
+        fresh = np.flatnonzero((lo != hi) & ~_is_taken(keys, taken))
+        # a key that repeats within the round pairs only at its first pair
+        new_keys, first = np.unique(keys[fresh], return_index=True)
+        keep = np.zeros(len(pairs), dtype=bool)
+        keep[fresh[first]] = True
+        taken = np.insert(taken, np.searchsorted(taken, new_keys), new_keys)
+        lows.append(lo[keep])
+        highs.append(hi[keep])
+        stubs = pairs[~keep].ravel()
+        if not stubs.size:
+            return list(zip(np.concatenate(lows).tolist(), np.concatenate(highs).tolist()))
         if not _suitable(stubs, taken, n):
             return None
     return None

@@ -1,7 +1,8 @@
 """Numba compiles the kernel source; the interpreted path runs the
-Python-int twins of the hot kernels and the source of the rest. Integer
-results must be bit-identical and float results equal to roundoff. The flag
-is read at import, so each path gets its own subprocess."""
+Python-int twins of the hot kernels (block draws from ``BLOCK_MIN`` draws
+on) and the source of the rest. Integer results must be bit-identical and
+float results equal to roundoff. The flag is read at import, so each path
+gets its own subprocess."""
 
 import json
 import os
@@ -20,7 +21,7 @@ PROBE = r"""
 import json
 import numpy as np
 import tracelab as tl
-from tracelab import _kernels as K
+from tracelab import _kernels as K, _twins
 
 out = {"numba": tl.NUMBA_ENABLED}
 out["uints"] = [int(x) for x in K.stream_uints(7, 0, 8)]
@@ -62,6 +63,13 @@ K.shuffle_ints(stubs, state)
 out["shuffle"] = [stubs.tolist(), state.tolist()]
 state = K.stream_state(21, 0)
 out["draw_2_63"] = [K.draw_ints(state, np.uint64(2**63 + 1), 40).tolist(), state.tolist()]
+# block-sized: the interpreted path draws these as blocks; about half the
+# outputs at 2**63 + 1 are rejected, so that one replays its scalar loop
+block = _twins.BLOCK_MIN + 1
+out["draw_2_63_block"] = [K.draw_ints(state, np.uint64(2**63 + 1), block).tolist(),
+                          state.tolist()]
+out["floats_block"] = [x.hex() for x in K.stream_floats(7, 3, 1000).tolist()]
+out["walk_block"] = tl.simulate_walk(g, 0, block, 12).edge_step.tolist()
 hopeless = tl.Graph.from_edges(40, [(i, (i + 1) % 39) for i in range(39)] + [(0, 39)])
 res = tl.hamiltonian_posa(hopeless, 3, max_rotations=200, max_restarts=5)
 out["posa_exhausted"] = [res.status, res.work]
@@ -94,6 +102,7 @@ def test_paths_agree():
     for key in ("uints", "ints", "floats", "visits", "edge_steps", "posa",
                 "ham_exact", "segment_hits", "blanket", "cover_worst",
                 "cover_drawn", "probe_hits", "shuffle", "draw_2_63",
+                "draw_2_63_block", "floats_block", "walk_block",
                 "posa_exhausted", "posa_petersen", "tau"):
         assert fast[key] == plain[key], key
     # float eigen results may differ in the last bits only

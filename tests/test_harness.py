@@ -3,6 +3,7 @@ rows, recomputable summaries, and stable CSV bytes."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -285,13 +286,13 @@ def test_csv_formatting(tmp_path):
     cfg = cfg_with(trials=5, output={"prefix": "unit"})
     res = run_experiment(cfg)
     out = write_result(res, tmp_path)
-    text = open(out.csv_path).read()
+    text = Path(out.csv_path).read_text()
     lines = text.split("\n")
     assert lines[0] == "trial,start,cover_step,censored"
     assert len(lines) == 7  # header + 5 rows + trailing newline
     again = write_result(run_experiment(cfg), tmp_path)
-    assert open(again.csv_path).read() == text
-    payload = json.load(open(out.json_path))
+    assert Path(again.csv_path).read_text() == text
+    payload = json.loads(Path(out.json_path).read_text())
     assert payload["stats"] == res.stats
     assert payload["config"]["experiment"] == "cover"
 
@@ -359,14 +360,14 @@ def test_emit_plot_data(tmp_path):
         cfg = cfg_with(graph={"family": "complete", "n": n}, trials=10)
         covers.append(run_experiment(cfg))
     path = emit_plot_data(covers, "cover_vs_n", tmp_path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "n,trials,mean,stderr"
     assert lines[1].startswith("8,") and lines[2].startswith("16,")
 
     sc = run_experiment(cfg_with(experiment="strong_cover",
                                  walk={"multiplier": 2.0}, trials=10))
     path = emit_plot_data([sc], "success_vs_multiplier", tmp_path)
-    assert open(path).read().splitlines()[1].startswith("2.0,")
+    assert Path(path).read_text().splitlines()[1].startswith("2.0,")
 
     tau = run_experiment(ExperimentConfig.from_dict({
         "version": 1, "experiment": "tau",
@@ -374,10 +375,10 @@ def test_emit_plot_data(tmp_path):
         "trials": 3, "seed": 5, "walk": {"multiplier": 6.0},
     }))
     path = emit_plot_data(tau, "tau_gap_histogram", tmp_path)
-    assert open(path).read().splitlines()[0] == "gap,count"
+    assert Path(path).read_text().splitlines()[0] == "gap,count"
 
     path = emit_plot_data(covers[0], "tv_profile", tmp_path, t_max=5)
-    rows = open(path).read().splitlines()
+    rows = Path(path).read_text().splitlines()
     assert rows[0] == "t,tv" and len(rows) == 7
 
     with pytest.raises(ConfigError):

@@ -1,6 +1,11 @@
 """Each Python-int twin against the kernel source it stands in for, run
 interpreted: return value, every array argument afterwards and the final
-RNG state must be identical."""
+RNG state must be identical. Draw counts on both sides of ``BLOCK_MIN`` run
+the scalar loop and the block draws."""
+
+import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +15,9 @@ from tracelab import (NUMBA_ENABLED, _kernels as K, _twins, complete_graph,
                       petersen_graph, random_regular, simulate_walk, trace_graph)
 from tracelab.graphs import neighbor_masks
 from tracelab.harness import ExperimentConfig, _derived_seeds
+
+BLOCK_MIN = _twins.BLOCK_MIN
+LANE = _twins._LANE_STEPS
 
 GRAPHS = {
     "regular": random_regular(60, 4, 1),
@@ -56,10 +64,44 @@ def test_twins_are_what_the_package_calls():
 
 def test_draws():
     state = K.stream_state(7, 0)
-    both("draw_uints", state, 9)
-    both("draw_uints", state, 0)
+    for count in (9, 0, BLOCK_MIN - 1, BLOCK_MIN, BLOCK_MIN + 1):
+        both("draw_uints", state, count)
     for bound in (1, 2, 3, 97, 2**40 + 5, np.uint64(97), np.int64(12), np.int64(-3)):
-        both("draw_ints", state, bound, 20)
+        for count in (20, BLOCK_MIN - 1, BLOCK_MIN):
+            both("draw_ints", state, bound, count)
+
+
+# around the cutoff, lane counts 1, 16 and 128 (one full pass) with a
+# partial lane either side, and ten passes
+BLOCK_COUNTS = sorted({BLOCK_MIN - 1, BLOCK_MIN, BLOCK_MIN + 1, LANE - 1, LANE + 1,
+                       16 * LANE - 1, 16 * LANE + 1, _twins._PASS_DRAWS - 1,
+                       _twins._PASS_DRAWS, _twins._PASS_DRAWS + 1, 40_000})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_block_is_the_scalar_stream(seed):
+    """``_block(s, m)`` returns the source's next m outputs and leaves the
+    state where the source leaves it."""
+    state = K.stream_state(seed, 0)
+    want, states, done = [], {}, 0
+    with np.errstate(over="ignore"):
+        for m in BLOCK_COUNTS:
+            want += source("draw_uints")(state, m - done).tolist()
+            states[m], done = state.tolist(), m
+    for m in BLOCK_COUNTS:
+        s = K.stream_state(seed, 0).tolist()
+        assert _twins._block(s, m).tolist() == want[:m], m
+        assert s == states[m], m
+
+
+def test_jump_tables_are_built_on_first_block():
+    code = ("import tracelab as tl\n"
+            "g = tl.random_regular(8, 4, 1)\n"
+            "tl.simulate_walk(g, 0, 60, 1)\n"
+            "print(tl._twins._jumps.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_draw_ints_rejection_path(monkeypatch):
@@ -71,6 +113,7 @@ def test_draw_ints_rejection_path(monkeypatch):
     raw = K.draw_uints(state.copy(), 40)
     assert 0 < int((raw < np.uint64(2**63 - 1)).sum()) < 40
     both("draw_ints", state, bound, 40)
+    both("draw_ints", state, bound, BLOCK_MIN + 100)
 
     def keep_all(s, n):
         threshold = (-n) % n
@@ -84,7 +127,7 @@ def test_draw_ints_rejection_path(monkeypatch):
         both("draw_ints", state, bound, 40)
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 7, 8000])
+@pytest.mark.parametrize("size", [0, 1, 2, 7, BLOCK_MIN, BLOCK_MIN + 1, 8000])
 def test_shuffle(size):
     stubs = np.repeat(np.arange(500, dtype=np.int64), 16)[:size]
     both("shuffle_ints", stubs, K.stream_state(3, 0))
@@ -111,9 +154,58 @@ def test_walk_stats_single_vertex(mode):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_walk_trace(name):
     g = GRAPHS[name]
-    for length in (0, 7, 20 * g.n):
+    for length in (0, 7, 20 * g.n, BLOCK_MIN - 1, BLOCK_MIN, 5000):
         both("walk_trace", g.indptr, g.indices, np.int64(2), np.int64(length),
              K.stream_state(9, length), np.full(length + 1, -5, dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", ["draw_ints", "shuffle_ints", "walk_trace"])
+def test_block_rejection_replays_the_scalar_loop(monkeypatch, name):
+    """A block output below a draw's rejection floor must send the twin back
+    to its scalar loop. One output is forced to 0, below every floor here
+    (2**64 % 5 is 1; shuffles and walks use their largest bound), and a twin
+    that kept the block would differ from the source."""
+    real = _twins._block
+
+    def with_a_zero(s, m):
+        out = real(s, m)
+        out[m // 2] = 0
+        return out
+
+    monkeypatch.setattr(_twins, "_block", with_a_zero)
+    g = GRAPHS["counterexample"]
+    args = {"draw_ints": (K.stream_state(4, 0), 5, 2 * BLOCK_MIN),
+            "shuffle_ints": (np.arange(2 * BLOCK_MIN, dtype=np.int64), K.stream_state(4, 0)),
+            "walk_trace": (g.indptr, g.indices, np.int64(2), np.int64(2 * BLOCK_MIN),
+                           K.stream_state(4, 0), np.zeros(2 * BLOCK_MIN + 1, dtype=np.int64))}
+    both(name, *args[name])
+
+
+# sha256 of indptr then indices, recorded before the block draws and the
+# numpy pairing round
+CSR_PINS = {
+    (200, 16, 1000):
+        "d22438b665e9c789dec6120168f2dd8a4daaeb5689b3f7649be7f8ea6d8acda0",
+    (200, 16, 1001):
+        "4c1bb1b358d7623de80a68988dda86e5ebe7631f17e66ce3c372a6306f13fd11",
+    (200, 16, 1002):
+        "60a808b64be32bf8609a1c330b1c8f3c4e25d3661d0212012f7040024ad956de",
+    (200, 16, 1003):
+        "ae8a28e25078cb24e97bd25a29d31a9f88572b1347c8d0e41228ec7c6fec1b17",
+    (500, 16, 0):
+        "09aa5e039df0107c7b3a9464e04621a921fe5ce8cb9f1c70bc6124259110f3bd",
+    (1000, 16, 0):
+        "320a1664c0c2b114c0938c0c9ab8c6d9875a844092121dd7fe759d7338fbba66",
+    (1000, 64, 0):
+        "2dd4a26d5717c9fbdb5202e26f3f2be4916901a515afe9194691ff1bc99f3076",
+}
+
+
+@pytest.mark.parametrize("n, d, seed", sorted(CSR_PINS))
+def test_random_regular_pinned(n, d, seed):
+    g = random_regular(n, d, seed)
+    csr = g.indptr.astype("<i8").tobytes() + g.indices.astype("<i4").tobytes()
+    assert hashlib.sha256(csr).hexdigest() == CSR_PINS[n, d, seed]
 
 
 def test_hit_within_count():
