@@ -13,7 +13,7 @@ caller's arrays and ``state``, so callers cannot tell the two apart.
 
 Block draws. From ``BLOCK_MIN`` draws on, ``draw_uints``, ``draw_ints``,
 ``shuffle_ints`` and ``walk_trace`` take their raw outputs from ``_block``,
-which runs the one stream as numpy lanes at fixed offsets (a GF(2) jump
+which runs the one stream as numpy sub-lanes at fixed offsets (a GF(2) jump
 ahead) and returns exactly what the scalar loop would draw. A bounded draw
 redraws an output below its rejection threshold, which moves every later
 draw, so when any block output falls below the largest threshold of the
@@ -21,6 +21,11 @@ draws it feeds, the twin discards the block and replays its scalar loop
 from the saved state. The jump tables are built on the first block-sized
 draw, not at import. ``walk_stats``, ``hit_within_count`` and
 ``posa_cycle`` stop early, so they draw one output at a time.
+
+``_block`` also takes many streams at once, one per column of a
+uint64[4, L] state, and gives each its next k outputs: the lockstep cover
+and probe lanes of :mod:`tracelab.walks` draw their walk steps that way,
+with the same floor check and a step-at-a-time fallback.
 
 ``_accel.kernel`` puts a twin in place of its namesake at import when numba
 is off; the numba path compiles the ``_kernels`` source and never calls
@@ -67,14 +72,15 @@ def _randint(s: list, n: int) -> int:
 
 
 # Block draws. The xoshiro256++ state transition T is linear over GF(2), so
-# T^k is a 256 x 256 bit matrix for every k. _block runs one stream as lanes
-# that start _LANE_STEPS steps apart: lane j starts at T^(j * _LANE_STEPS) s,
-# so its next _LANE_STEPS outputs are the stream's outputs from
-# j * _LANE_STEPS on. Lane starts are doubled from s through _jumps()[k], the
-# matrix of T^(_LANE_STEPS * 2**k) stored as one XOR table per 4-bit nibble
-# of the state: a state's image is the XOR of its 64 nibbles' rows.
+# T^k is a 256 x 256 bit matrix for every k. _block runs each stream it is
+# given as sub-lanes that start _LANE_STEPS steps apart: sub-lane j starts at
+# T^(j * _LANE_STEPS) s, so its next _LANE_STEPS outputs are the stream's
+# outputs from j * _LANE_STEPS on. Sub-lane starts are doubled from s through
+# _jumps()[k], the matrix of T^(_LANE_STEPS * 2**k) stored as one XOR table
+# per 4-bit nibble of the state: a state's image is the XOR of its 64
+# nibbles' rows.
 _LANE_STEPS = 32
-# lanes per pass: a doubling gathers a (64, lanes / 2, 4) uint64 temporary
+# sub-lanes per stream and pass, and the columns one table gather takes
 _MAX_LANES = 128
 _PASS_DRAWS = _MAX_LANES * _LANE_STEPS
 # Draw counts from here on take _block. Its floor, one pass of a few lanes,
@@ -95,10 +101,15 @@ def _lane_step():
 
 def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The linear map stored in ``table`` applied to each column of
-    ``states`` (uint64[4, lanes])."""
-    rows = ((states[:, None, :] >> _NIBBLE_SHIFTS) & np.uint64(15)).reshape(64, -1)
-    rows = rows.astype(np.intp) + _NIBBLE_ROWS
-    return np.bitwise_xor.reduce(np.take(table, rows, axis=0), axis=0).T
+    ``states`` (uint64[4, columns]), ``_MAX_LANES`` columns at a time, so
+    each (64, columns, 4) gather stays within 256 KB."""
+    parts = []
+    for i in range(0, states.shape[1], _MAX_LANES):
+        part = states[:, i:i + _MAX_LANES]
+        rows = ((part[:, None, :] >> _NIBBLE_SHIFTS) & np.uint64(15)).reshape(64, -1)
+        rows = rows.astype(np.intp) + _NIBBLE_ROWS
+        parts.append(np.bitwise_xor.reduce(np.take(table, rows, axis=0), axis=0).T)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _table(images: np.ndarray) -> np.ndarray:
@@ -125,46 +136,52 @@ def _jumps() -> tuple:
     for _ in range(_LANE_STEPS):
         step(images)
     tables = [_table(images)]
-    # squared _MAX_LANES // 2 columns at a time, the most a pass doubles, so
-    # the temporaries are no larger than a pass's
-    half = _MAX_LANES // 2
     while len(tables) < _MAX_LANES.bit_length() - 1:
-        images = np.concatenate([_apply(tables[-1], images[:, i:i + half])
-                                 for i in range(0, 256, half)], axis=1)
+        images = _apply(tables[-1], images)
         tables.append(_table(images))
     return tuple(tables)
 
 
-def _block(s: list, m: int) -> np.ndarray:
-    """The next ``m`` raw outputs of list state ``s``, advancing it by ``m``:
-    what ``m`` calls of ``_next64`` give, drawn as lanes of at most
-    ``_MAX_LANES`` per pass. The last ``m % _LANE_STEPS`` come from
-    ``_next64``."""
+def _block(s, m: int) -> np.ndarray:
+    """The next ``m`` raw outputs of every state in ``s``, advancing each by
+    ``m``: what ``m`` calls of ``_next64`` give. ``s`` is one state (a list
+    or a uint64[4] array), drawn as uint64[m], or a uint64[4, L] array with
+    one state per column, drawn as uint64[m, L].
+
+    A pass draws up to ``_PASS_DRAWS`` outputs of every column: the column
+    becomes up to ``_MAX_LANES`` sub-lanes ``_LANE_STEPS`` steps apart, all
+    stepped ``_LANE_STEPS`` times at once. The last sub-lane may feed fewer
+    steps; its state after them is where the column's next pass starts."""
     step = _lane_step()
     jumps = _jumps()
-    out = np.empty(m, dtype=np.uint64)
-    lanes_total = m // _LANE_STEPS
-    cur = np.array(s, dtype=np.uint64).reshape(4, 1)
+    cur = np.array(s, dtype=np.uint64)
+    shape = cur.shape
+    cur = cur.reshape(4, -1)
+    cols = cur.shape[1]
+    out = np.empty((m, cols), dtype=np.uint64)
     done = 0
-    while done < lanes_total:
-        count = min(_MAX_LANES, lanes_total - done)
-        lanes = cur.copy()
+    while done < m:
+        count = min(m - done, _PASS_DRAWS)
+        subs = -(-count // _LANE_STEPS)
+        # column j * cols + c is sub-lane j of stream c
+        lanes = cur
         k = 0
-        while lanes.shape[1] < count:
-            more = _apply(jumps[k], lanes[:, :count - lanes.shape[1]])
+        while lanes.shape[1] < subs * cols:
+            more = _apply(jumps[k], lanes[:, :subs * cols - lanes.shape[1]])
             lanes = np.concatenate([lanes, more], axis=1)
             k += 1
-        rows = np.empty((_LANE_STEPS, count), dtype=np.uint64)
+        rows = np.empty((_LANE_STEPS, subs * cols), dtype=np.uint64)
+        last = count - (subs - 1) * _LANE_STEPS
         for t in range(_LANE_STEPS):
             rows[t] = step(lanes)
-        out[done * _LANE_STEPS:(done + count) * _LANE_STEPS] = rows.T.ravel()
-        # lane count - 1 has now taken count * _LANE_STEPS steps from cur
-        cur = lanes[:, count - 1:]
+            if t + 1 == last:
+                cur = lanes[:, -cols:].copy()
+        rows = rows.reshape(_LANE_STEPS, subs, cols).transpose(1, 0, 2)
+        out[done:done + count] = rows.reshape(-1, cols)[:count]
         done += count
-    s[:] = cur[:, 0].tolist()
-    for i in range(lanes_total * _LANE_STEPS, m):
-        out[i] = _next64(s)
-    return out
+    final = cur.reshape(shape)
+    s[:] = final.tolist() if isinstance(s, list) else final
+    return out if len(shape) == 2 else out[:, 0]
 
 
 def _unrejected(state, count, floor):
@@ -175,7 +192,7 @@ def _unrejected(state, count, floor):
     and redraws exactly where the source does."""
     if count < BLOCK_MIN:
         return None
-    s = state.tolist()
+    s = state.copy()
     raw = _block(s, int(count))
     if int(raw.min()) < floor:
         return None
@@ -184,11 +201,10 @@ def _unrejected(state, count, floor):
 
 
 def draw_uints(state, count):
-    s = state.tolist()
     if count >= BLOCK_MIN:
-        out = _block(s, int(count))
-    else:
-        out = np.array([_next64(s) for _ in range(count)], dtype=np.uint64)
+        return _block(state, int(count))
+    s = state.tolist()
+    out = np.array([_next64(s) for _ in range(count)], dtype=np.uint64)
     state[:] = s
     return out
 

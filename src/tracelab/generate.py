@@ -147,7 +147,7 @@ def _pairing_attempt(n: int, d: int, state: np.ndarray, max_rounds: int):
         highs.append(hi[keep])
         stubs = pairs[~keep].ravel()
         if not stubs.size:
-            return list(zip(np.concatenate(lows).tolist(), np.concatenate(highs).tolist()))
+            return np.column_stack([np.concatenate(lows), np.concatenate(highs)])
         if not _suitable(stubs, taken, n):
             return None
     return None

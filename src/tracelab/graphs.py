@@ -28,21 +28,22 @@ class Graph:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build from an iterable of undirected edges.
+    def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
+        """Build from undirected edges: an iterable of vertex pairs or an
+        (m, 2) integer array.
 
         Rejects loops, duplicate edges (in either orientation), and
         endpoints outside 0..n-1.
         """
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        pairs = list(edges)
-        m = len(pairs)
-        u = np.empty(m, dtype=np.int64)
-        v = np.empty(m, dtype=np.int64)
-        for i, (a, b) in enumerate(pairs):
-            u[i] = a
-            v[i] = b
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise GraphError("edges must be vertex pairs")
+        u, v = pairs.reshape(-1, 2).T
+        m = len(u)
         if m:
             if ((u < 0) | (u >= n) | (v < 0) | (v >= n)).any():
                 raise GraphError("edge endpoint out of range")

@@ -17,16 +17,18 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels as K
+from . import _kernels as K, _twins
 from ._accel import NUMBA_ENABLED
 from .bounds import exact_binomial_ci
 from .graphs import Graph, GraphError, connectivity_profile
 
 AUX_STREAM = K.AUX_STREAM
 
-# The xoshiro256++ step as Python source (numba keeps it as ``py_func``).
-# Given a uint64[4, lanes] array it advances every column at once.
+# The xoshiro256++ step and the splitmix64 finaliser as Python source (numba
+# keeps them as ``py_func``). Given uint64 arrays they work elementwise: the
+# step advances every column of a uint64[4, lanes] state at once.
 _next64 = getattr(K._next64, "py_func", K._next64)
+_mix64 = getattr(K._mix64, "py_func", K._mix64)
 
 # sample size for start pools on graphs too large to enumerate every start
 START_POOL_SAMPLE = 32
@@ -160,14 +162,13 @@ def simulate_walk(g: Graph, start: int, length: int, seed: int, stream: int = 0)
 
 def trace_graph(trace: WalkTrace) -> Graph:
     """The undirected graph of edges the walk actually used."""
-    return Graph.from_edges(trace.n, zip(trace.edge_u.tolist(), trace.edge_v.tolist()))
+    return Graph.from_edges(trace.n, np.column_stack([trace.edge_u, trace.edge_v]))
 
 
 def trace_prefix_graph(trace: WalkTrace, upto_step: int) -> Graph:
     """Trace restricted to edges first used at or before ``upto_step``."""
     keep = trace.edge_step <= upto_step
-    return Graph.from_edges(
-        trace.n, zip(trace.edge_u[keep].tolist(), trace.edge_v[keep].tolist()))
+    return Graph.from_edges(trace.n, np.column_stack([trace.edge_u[keep], trace.edge_v[keep]]))
 
 
 def min_visit_ratio(trace: WalkTrace) -> float:
@@ -264,16 +265,34 @@ def return_probe_trial(g: Graph, seed: int, unit: int, u: int, v: int,
 
 # The interpreted backend runs a batch as lockstep lanes, lane i on stream
 # (seed, lo + i), each drawing exactly what its per-trial kernel would, and
-# drops a lane once its trial has ended. Below _MIN_LANES cover lanes or
-# _MIN_PROBE_LANES probe lanes the per-trial kernels' Python-int twins are
-# faster: every lane step pays a fixed numpy cost that only many lanes
-# amortise, and a short per-trial probe pays mostly its set-up, so probes
-# cross over sooner (measured in CHANGES.md). A chunk holds
+# drops a lane once its trial has ended. Walk steps draw their raw outputs in
+# blocks: one _twins._block call gives every live lane its next k outputs
+# (GF(2) jump-ahead sub-lanes, 32 steps each), so a lane step is a few
+# gathers, a modulo and the trial's bookkeeping, not a 12-operation
+# xoshiro step. A block holds at most _BLOCK_CELLS outputs (k = 32 times a
+# power of two of at most 128): 80 cover lanes draw 256 steps a block, 1000
+# probe lanes 32. Larger blocks make fewer, wider sub-lane passes but hold
+# more memory: on the benchmark's walk_cover, 2**17 cells cut the round by
+# about 9% and raised peak RSS by 2.5 MB (7%); 2**15 did not move it. Every
+# walk-step bound is a vertex degree, so when an output a block will use
+# falls below the largest degree's rejection threshold (0 for power-of-two
+# degrees), the block's state is restored and its steps redraw one at a
+# time through _lane_ints, as the per-trial kernels do.
+#
+# Below _MIN_LANES cover lanes or _MIN_PROBE_LANES probe lanes the per-trial
+# kernels' Python-int twins are faster: every lane step pays a fixed numpy
+# cost that only many lanes amortise, and a short per-trial probe pays
+# mostly its set-up, so probes cross over sooner. Per-trial time over lane
+# time, median of 3-5 seeds on a 2-vCPU x86 machine: cover on
+# random_regular(500, 16, 0) 0.72 at 8 lanes, 0.94 at 12, 1.14 at 16, 1.73
+# at 24; probes on random_regular(1000, 16, 0) at horizon 250 0.86 at 4
+# lanes, 1.32 at 6, and at horizon 30 0.85 at 2, 1.26 at 3. A chunk holds
 # _CHUNK_CELLS // n lanes, so a cover chunk's (lane, vertex) visited matrix
 # stays within _CHUNK_CELLS.
-_MIN_LANES = 40
-_MIN_PROBE_LANES = 12
+_MIN_LANES = 16
+_MIN_PROBE_LANES = 6
 _CHUNK_CELLS = 1 << 20
+_BLOCK_CELLS = 1 << 15
 
 
 def _lockstep(lanes: int, least: int | None = None) -> bool:
@@ -289,8 +308,15 @@ def _chunks(lo: int, hi: int, n: int):
 
 
 def _lane_states(seed: int, lo: int, hi: int) -> np.ndarray:
-    """uint64[4, hi - lo]: column i is the state of stream ``(seed, lo + i)``."""
-    return np.stack([K.stream_state(seed, unit) for unit in range(lo, hi)], axis=1)
+    """uint64[4, hi - lo]: column i is the state of stream ``(seed, lo + i)``,
+    ``K.stream_state``'s splitmix64 walk run on every column at once."""
+    z = np.uint64(int(seed) & K.MASK64) + K.GOLDEN * (np.arange(lo, hi, dtype=np.uint64) + K.U1)
+    state = np.empty((4, hi - lo), dtype=np.uint64)
+    for k in range(4):
+        z = z + K.GOLDEN
+        state[k] = _mix64(z)
+    state[0] = np.where((state == K.U0).all(axis=0), K.GOLDEN, state[0])
+    return state
 
 
 def _threshold(bound):
@@ -322,11 +348,61 @@ def _walk_tables(g: Graph) -> tuple[np.ndarray, ...]:
     return g.indptr[:-1].astype(np.uint64), deg, _threshold(deg)
 
 
-def _step_lanes(g: Graph, tables: tuple[np.ndarray, ...], state: np.ndarray,
-                cur: np.ndarray) -> np.ndarray:
-    """Move every lane to a uniform neighbour of its vertex in ``cur``."""
+def _block_steps(lanes: int, left: int) -> int:
+    """Walk steps per block for ``lanes`` lanes with ``left`` steps to go:
+    32 times a power of two, at most 128, the smallest that covers ``left``
+    or the largest that keeps the block within ``_BLOCK_CELLS``."""
+    fit = _BLOCK_CELLS // (_twins._LANE_STEPS * lanes)
+    need = -(-left // _twins._LANE_STEPS)
+    subs = min(_twins._MAX_LANES, 1 << max(fit.bit_length() - 1, 0),
+               1 << (need - 1).bit_length())
+    return _twins._LANE_STEPS * subs
+
+
+class _LaneDraws:
+    """The live lanes' states and the block of walk-step draws they are
+    using up, one row per step.
+
+    ``next(left)``, with ``left`` steps to go counting this one, returns the
+    step's raw outputs, one per lane, or None when the lanes must draw it
+    through ``_lane_ints``: a block whose used outputs include one below
+    ``floor`` is discarded, the state it advanced restored, and its steps
+    drawn one at a time. ``keep(mask)`` keeps only the lanes still walking.
+    """
+
+    def __init__(self, state: np.ndarray, floor: int):
+        self.state, self.floor = state, floor
+        self.rows, self.used, self.count = None, 0, 0
+
+    def next(self, left: int) -> np.ndarray | None:
+        if self.used == self.count:
+            k = _block_steps(self.state.shape[1], left)
+            self.count, self.used = min(k, left), 0
+            saved = self.state.copy()
+            self.rows = _twins._block(self.state, k)
+            if self.floor and int(self.rows[:self.count].min()) < self.floor:
+                self.state[:] = saved
+                self.rows = None
+        self.used += 1
+        return None if self.rows is None else self.rows[self.used - 1]
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.state = self.state[:, mask]
+        if self.rows is not None:
+            self.rows = self.rows[self.used:, mask]
+            self.count -= self.used
+            self.used = 0
+
+
+def _step_lanes(g: Graph, tables: tuple[np.ndarray, ...], draws: _LaneDraws,
+                cur: np.ndarray, left: int) -> np.ndarray:
+    """Move every lane to a uniform neighbour of its vertex in ``cur``;
+    ``left`` steps are to go, counting this one."""
     base, deg, threshold = tables
-    return g.indices[base[cur] + _lane_ints(state, deg[cur], threshold[cur])]
+    bound = deg[cur]
+    raw = draws.next(left)
+    pick = _lane_ints(draws.state, bound, threshold[cur]) if raw is None else raw % bound
+    return g.indices[base[cur] + pick]
 
 
 def _cover_lanes(g: Graph, seed: int, lo: int, hi: int, budget: int,
@@ -342,6 +418,7 @@ def _cover_lanes(g: Graph, seed: int, lo: int, hi: int, budget: int,
     if n == 1:
         return start, steps
     tables = _walk_tables(g)
+    draws = _LaneDraws(state, int(tables[2].max()))
     lane = np.arange(hi - lo, dtype=np.int64)
     row = lane * n  # a lane's offset into the flat (lane, vertex) visited matrix
     seen = np.zeros((hi - lo) * n, dtype=bool)
@@ -349,7 +426,7 @@ def _cover_lanes(g: Graph, seed: int, lo: int, hi: int, budget: int,
     left = np.full(hi - lo, n - 1, dtype=np.int64)
     cur = start
     for step in range(1, budget + 1):
-        cur = _step_lanes(g, tables, state, cur)
+        cur = _step_lanes(g, tables, draws, cur, budget - step + 1)
         cell = row + cur
         left -= ~seen[cell]
         seen[cell] = True
@@ -357,8 +434,8 @@ def _cover_lanes(g: Graph, seed: int, lo: int, hi: int, budget: int,
         if np.count_nonzero(done):
             steps[lane[done]] = step
             keep = ~done
-            state, lane, row, cur, left = (state[:, keep], lane[keep], row[keep],
-                                           cur[keep], left[keep])
+            lane, row, cur, left = lane[keep], row[keep], cur[keep], left[keep]
+            draws.keep(keep)
             if not lane.size:
                 break
     return start, steps
@@ -366,18 +443,19 @@ def _cover_lanes(g: Graph, seed: int, lo: int, hi: int, budget: int,
 
 def _probe_lanes(g: Graph, seed: int, lo: int, hi: int, u: int, v: int,
                  horizon: int) -> np.ndarray:
-    state = _lane_states(seed, lo, hi)
     tables = _walk_tables(g)
+    draws = _LaneDraws(_lane_states(seed, lo, hi), int(tables[2].max()))
     hits = np.zeros(hi - lo, dtype=np.int64)
     lane = np.arange(hi - lo, dtype=np.int64)
     cur = np.full(hi - lo, u, dtype=np.int64)
-    for _ in range(horizon):
-        cur = _step_lanes(g, tables, state, cur)
+    for step in range(horizon):
+        cur = _step_lanes(g, tables, draws, cur, horizon - step)
         done = cur == v
         if np.count_nonzero(done):
             hits[lane[done]] = 1
             keep = ~done
-            state, lane, cur = state[:, keep], lane[keep], cur[keep]
+            lane, cur = lane[keep], cur[keep]
+            draws.keep(keep)
             if not lane.size:
                 break
     return hits

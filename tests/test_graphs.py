@@ -26,6 +26,29 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(0, [])
 
 
+def test_from_edges_input_forms_agree():
+    """A list, a generator and an (m, 2) array of the same edges give the
+    same CSR; so do an empty list and an empty array."""
+    edges = [(3, 1), (2, 0), (1, 0), (4, 2), (0, 4)]
+    forms = [edges, (e for e in edges), np.array(edges, dtype=np.int64),
+             np.array(edges, dtype=np.int32)]
+    graphs = [Graph.from_edges(5, form) for form in forms]
+    for g in graphs[1:]:
+        assert g.indptr.tolist() == graphs[0].indptr.tolist()
+        assert g.indices.tolist() == graphs[0].indices.tolist()
+        assert g.indices.dtype == graphs[0].indices.dtype
+        assert g.regular_degree == graphs[0].regular_degree
+    for empty in ([], iter(()), np.empty((0, 2), dtype=np.int64)):
+        g = Graph.from_edges(3, empty)
+        assert g.indptr.tolist() == [0, 0, 0, 0] and g.indices.size == 0
+    for bad, message in ((np.array([[0, 3]]), "out of range"),
+                         (np.array([[1, 1]]), "self-loop"),
+                         (np.array([[0, 1], [1, 0]]), "duplicate"),
+                         ([(0, 1, 2)], "pairs")):
+        with pytest.raises(GraphError, match=message):
+            Graph.from_edges(3, bad)
+
+
 def test_neighbors_sorted_and_has_edge():
     g = Graph.from_edges(5, [(2, 0), (4, 2), (2, 1), (2, 3)])
     assert g.neighbors(2).tolist() == [0, 1, 3, 4]

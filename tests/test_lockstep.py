@@ -5,7 +5,7 @@ bit for bit, whatever the graph, budget or chunking."""
 import numpy as np
 import pytest
 
-from tracelab import (GraphError, _kernels as K, complete_graph,
+from tracelab import (GraphError, NUMBA_ENABLED, _kernels as K, _twins, complete_graph,
                       counterexample_expander, cover_trial, cycle_graph,
                       random_regular, return_probe_trial, walks)
 
@@ -109,3 +109,77 @@ def test_lane_draw_rejection_path():
 def test_starts_need_one_vertex_per_unit():
     with pytest.raises(GraphError):
         walks.cover_trials(cycle_graph(12), 1, 0, 5, starts=[0, 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_lane_states_are_the_stream_states(seed):
+    for unit in (0, 1, 2**32 - 1, K.AUX_STREAM, K.AUX_STREAM + 7):
+        got = walks._lane_states(seed, unit, unit + 3)
+        for i in range(3):
+            assert got[:, i].tolist() == K.stream_state(seed, unit + i).tolist()
+
+
+def test_lane_states_all_zero_fix_up(monkeypatch):
+    """A stream whose four splitmix64 outputs are all 0 starts at s0 =
+    GOLDEN; no real seed reaches it, so the finaliser is replaced by 0."""
+    if NUMBA_ENABLED:
+        pytest.skip("stream_state runs compiled")
+    monkeypatch.setattr(K, "_mix64", lambda z: z ^ z)
+    monkeypatch.setattr(walks, "_mix64", lambda z: z ^ z)
+    want = K.stream_state(5, 2).tolist()
+    assert want == [int(K.GOLDEN), 0, 0, 0]
+    assert walks._lane_states(5, 2, 4)[:, 0].tolist() == want
+
+
+def test_budgets_at_the_block_length(lockstep):
+    """Budgets and horizons one short of, at and one past a block: lanes
+    finish inside the first block, at its end and one step into the next."""
+    lanes = 40
+    k = walks._block_steps(lanes, 10**9)
+    g = random_regular(80, 4, 1)
+    assert walks._block_steps(1, 10**9) == _twins._PASS_DRAWS
+    assert walks._block_steps(lanes, k + 1) == k
+    assert walks._block_steps(lanes, 40) == 2 * _twins._LANE_STEPS
+    finished = []
+    for budget in (k - 1, k, k + 1):
+        steps = lanes_vs_trials(g, 3, 0, lanes, budget=budget)
+        finished.append(int((steps >= 0).sum()))
+        assert 0 < finished[-1] < lanes
+        hits = probes_vs_trials(cycle_graph(60), 3, 0, lanes, 0, 30, budget)
+        assert 0 < sum(hits) < lanes
+    assert finished == sorted(finished)
+
+
+def test_floor_above_zero(lockstep):
+    """Degree 6 does not divide 2**64, so a walk step rejects outputs below
+    2**64 % 6 = 4, and the lanes check each block against that floor."""
+    g = random_regular(60, 6, 4)
+    assert int(walks._walk_tables(g)[2].max()) == 4
+    lanes_vs_trials(g, 8, 0, 30)
+    probes_vs_trials(g, 8, 0, 30, 0, 1, 40)
+
+
+def test_block_below_the_floor_steps_one_at_a_time(lockstep, monkeypatch):
+    """A block output below the floor sends the lanes back to drawing one
+    step at a time. Every lanes block gets a 0 in its last lane's first
+    row, which every live lane uses. Where the real output is not a
+    multiple of 6 the 0 moves that step, so lanes that kept the block would
+    walk elsewhere than their trials."""
+    g = random_regular(60, 6, 4)
+    real = _twins._block
+    moved = []
+
+    def with_a_zero(s, m):
+        out = real(s, m)
+        if out.ndim == 2:
+            moved.append(int(out[0, -1]) % 6 != 0)
+            out[0, -1] = 0
+        return out
+
+    monkeypatch.setattr(_twins, "_block", with_a_zero)
+    for run in (lambda: lanes_vs_trials(g, 10, 0, 30),
+                lambda: lanes_vs_trials(g, 10, 0, 30, starts=[7] * 30),
+                lambda: probes_vs_trials(g, 10, 0, 30, 0, 1, 80)):
+        moved.clear()
+        run()
+        assert any(moved)

@@ -94,6 +94,21 @@ def test_block_is_the_scalar_stream(seed):
         assert s == states[m], m
 
 
+@pytest.mark.parametrize("lanes", [1, 3, 80])
+@pytest.mark.parametrize("k", [LANE, 2 * LANE, 16 * LANE, _twins._PASS_DRAWS])
+def test_block_of_many_streams(lanes, k):
+    """``_block`` on a uint64[4, lanes] state: column c of the result is
+    stream c's next k outputs, and column c of the state ends where that
+    stream's scalar loop leaves it."""
+    states = np.stack([K.stream_state(11, unit) for unit in range(lanes)], axis=1)
+    got = _twins._block(states, k)
+    assert got.shape == (k, lanes)
+    for c in range(lanes):
+        s = K.stream_state(11, c).tolist()
+        assert got[:, c].tolist() == [_twins._next64(s) for _ in range(k)], c
+        assert states[:, c].tolist() == s, c
+
+
 def test_jump_tables_are_built_on_first_block():
     code = ("import tracelab as tl\n"
             "g = tl.random_regular(8, 4, 1)\n"
