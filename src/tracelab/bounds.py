@@ -496,15 +496,18 @@ def exact_binomial_ci(hits: int, trials: int, level: float = 0.95) -> tuple[floa
         # p with binomial_cdf(trials, p, k) == target; cdf decreases in p.
         # The p-free part of each log pmf is formed once, in _binom_logpmf's
         # order, so each step sums the same floats binomial_cdf would (its
-        # cap at 1 cannot change a comparison with target < 1).
+        # cap at 1 cannot change a comparison with target < 1). numpy's
+        # float64 add and multiply round as Python's do, term for term.
         head = math.lgamma(trials + 1)
-        coef = [head - math.lgamma(j + 1) - math.lgamma(trials - j + 1) for j in range(k + 1)]
+        coef = np.array([head - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
+                         for j in range(k + 1)])
+        j = np.arange(k + 1, dtype=np.float64)
+        rest = trials - j
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             lp, lq = math.log(mid), math.log1p(-mid)
-            cdf = math.fsum(math.exp(c + j * lp + (trials - j) * lq)
-                            for j, c in enumerate(coef))
+            cdf = math.fsum(map(math.exp, (coef + j * lp + rest * lq).tolist()))
             # once mid is lo or hi, this update leaves a fixed point
             settled = mid == lo or mid == hi
             if cdf > target:

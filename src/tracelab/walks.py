@@ -264,33 +264,49 @@ def return_probe_trial(g: Graph, seed: int, unit: int, u: int, v: int,
 # ---------------------------------------------------------------------------
 
 # The interpreted backend runs a batch as lockstep lanes, lane i on stream
-# (seed, lo + i), each drawing exactly what its per-trial kernel would, and
-# drops a lane once its trial has ended. Walk steps draw their raw outputs in
-# blocks: one _twins._block call gives every live lane its next k outputs
-# (GF(2) jump-ahead sub-lanes, 32 steps each), so a lane step is a few
-# gathers, a modulo and the trial's bookkeeping, not a 12-operation
-# xoshiro step. A block holds at most _BLOCK_CELLS outputs (k = 32 times a
-# power of two of at most 128): 80 cover lanes draw 256 steps a block, 1000
-# probe lanes 32. Larger blocks make fewer, wider sub-lane passes but hold
-# more memory: on the benchmark's walk_cover, 2**17 cells cut the round by
-# about 9% and raised peak RSS by 2.5 MB (7%); 2**15 did not move it. Every
-# walk-step bound is a vertex degree, so when an output a block will use
-# falls below the largest degree's rejection threshold (0 for power-of-two
-# degrees), the block's state is restored and its steps redraw one at a
-# time through _lane_ints, as the per-trial kernels do.
+# (seed, lo + i), each drawing exactly what its per-trial kernel would. Lanes
+# walk a block at a time: one _twins._block call gives every live lane its
+# next k raw outputs (GF(2) jump-ahead sub-lanes, 32 steps each), and
+# _block_path turns them into the lanes' next k vertices, a (k, lanes) path.
+# On a graph where every vertex has degree d, the block's picks come from one
+# in-place modulo, each step is one gather and one add on CSR positions, and
+# one gather per block turns the positions into vertices; other graphs take
+# the CSR step indices[base[cur] + raw % deg[cur]].
+# The trial's bookkeeping then runs once per block on the whole path: a cover
+# lane's first-visit steps through np.minimum.at and a cumulative count of
+# its new vertices, a probe lane's hit as any v in its column. A lane is
+# dropped only at a block's end; the steps it walked after its trial ended
+# are discarded, so every output is the per-trial kernel's. With 80 lanes on
+# random_regular(500, 16, 0) a step costs about 3.2-3.6 us of walking and
+# 5.1 us of block drawing on a 2-vCPU x86 machine.
+#
+# A block holds at most _BLOCK_CELLS outputs (k = 32 times a power of two of
+# at most 128): 80 cover lanes draw 256 steps a block, 1000 probe lanes 32.
+# Larger blocks make fewer, wider sub-lane passes but hold more memory: on
+# the benchmark's walk_cover, 2**17 cells cut the round by about 9% and
+# raised peak RSS by 2.5 MB (7%); 2**15 did not move it. Every walk-step
+# bound is a vertex degree, so when an output a block will use falls below
+# the largest degree's rejection threshold (0 for power-of-two degrees), the
+# block's state is restored and its steps redraw one at a time through
+# _lane_ints, as the per-trial kernels do.
 #
 # Below _MIN_LANES cover lanes or _MIN_PROBE_LANES probe lanes the per-trial
-# kernels' Python-int twins are faster: every lane step pays a fixed numpy
-# cost that only many lanes amortise, and a short per-trial probe pays
-# mostly its set-up, so probes cross over sooner. Per-trial time over lane
-# time, median of 3-5 seeds on a 2-vCPU x86 machine: cover on
-# random_regular(500, 16, 0) 0.72 at 8 lanes, 0.94 at 12, 1.14 at 16, 1.73
-# at 24; probes on random_regular(1000, 16, 0) at horizon 250 0.86 at 4
-# lanes, 1.32 at 6, and at horizon 30 0.85 at 2, 1.26 at 3. A chunk holds
-# _CHUNK_CELLS // n lanes, so a cover chunk's (lane, vertex) visited matrix
-# stays within _CHUNK_CELLS.
-_MIN_LANES = 16
-_MIN_PROBE_LANES = 6
+# kernels' Python-int twins are faster: every block pays a fixed numpy cost
+# that only several lanes amortise, and a short per-trial probe pays mostly
+# its set-up, so probes cross over sooner. Per-trial time over lane time,
+# median of 5 seeds on a 2-vCPU x86 machine, two runs: cover on
+# random_regular(500, 16, 0) 0.95-1.09 at 4 lanes, 1.37-1.48 at 6,
+# 1.73-1.93 at 8, 2.4-2.5 at 12; probes on random_regular(1000, 16, 0) at
+# horizon 250 0.91-1.07 at 2 lanes, 1.19-1.30 at 3, and at horizon 30
+# 0.96-1.01 at 2, 1.41-1.83 at 3. Graphs whose steps take the CSR path and
+# whose cover times spread widely cross over later, since a batch lasts as
+# long as its slowest lane: cover on counterexample_expander(200, 8) 0.6-0.8
+# at 8 lanes, 0.9-1.0 at 12, 1.2-1.9 at 16, and on path_graph(60) 0.6 at 8
+# and 12, 1.0 at 16.
+# A chunk holds _CHUNK_CELLS // n lanes, so a cover chunk's (lane, vertex)
+# first-visit array stays within _CHUNK_CELLS cells.
+_MIN_LANES = 6
+_MIN_PROBE_LANES = 3
 _CHUNK_CELLS = 1 << 20
 _BLOCK_CELLS = 1 << 15
 
@@ -342,10 +358,15 @@ def _lane_ints(state: np.ndarray, bound, threshold) -> np.ndarray:
     return r % bound
 
 
-def _walk_tables(g: Graph) -> tuple[np.ndarray, ...]:
-    """Per-vertex uint64 CSR offset, degree and rejection threshold."""
+def _walk_tables(g: Graph) -> tuple:
+    """Per-vertex uint64 CSR offset, degree and rejection threshold; and,
+    when every vertex has degree d > 0, ``ahead = indices * d`` as intp:
+    ``ahead[i]`` is where the neighbour list of the vertex at CSR position i
+    starts. Else ``ahead`` is None."""
     deg = np.diff(g.indptr).astype(np.uint64)
-    return g.indptr[:-1].astype(np.uint64), deg, _threshold(deg)
+    d = g.regular_degree
+    ahead = g.indices.astype(np.intp) * d if d else None
+    return g.indptr[:-1].astype(np.uint64), deg, _threshold(deg), ahead
 
 
 def _block_steps(lanes: int, left: int) -> int:
@@ -359,50 +380,40 @@ def _block_steps(lanes: int, left: int) -> int:
     return _twins._LANE_STEPS * subs
 
 
-class _LaneDraws:
-    """The live lanes' states and the block of walk-step draws they are
-    using up, one row per step.
-
-    ``next(left)``, with ``left`` steps to go counting this one, returns the
-    step's raw outputs, one per lane, or None when the lanes must draw it
-    through ``_lane_ints``: a block whose used outputs include one below
-    ``floor`` is discarded, the state it advanced restored, and its steps
-    drawn one at a time. ``keep(mask)`` keeps only the lanes still walking.
-    """
-
-    def __init__(self, state: np.ndarray, floor: int):
-        self.state, self.floor = state, floor
-        self.rows, self.used, self.count = None, 0, 0
-
-    def next(self, left: int) -> np.ndarray | None:
-        if self.used == self.count:
-            k = _block_steps(self.state.shape[1], left)
-            self.count, self.used = min(k, left), 0
-            saved = self.state.copy()
-            self.rows = _twins._block(self.state, k)
-            if self.floor and int(self.rows[:self.count].min()) < self.floor:
-                self.state[:] = saved
-                self.rows = None
-        self.used += 1
-        return None if self.rows is None else self.rows[self.used - 1]
-
-    def keep(self, mask: np.ndarray) -> None:
-        self.state = self.state[:, mask]
-        if self.rows is not None:
-            self.rows = self.rows[self.used:, mask]
-            self.count -= self.used
-            self.used = 0
-
-
-def _step_lanes(g: Graph, tables: tuple[np.ndarray, ...], draws: _LaneDraws,
+def _block_path(g: Graph, tables: tuple, state: np.ndarray, floor: int,
                 cur: np.ndarray, left: int) -> np.ndarray:
-    """Move every lane to a uniform neighbour of its vertex in ``cur``;
-    ``left`` steps are to go, counting this one."""
-    base, deg, threshold = tables
-    bound = deg[cur]
-    raw = draws.next(left)
-    pick = _lane_ints(draws.state, bound, threshold[cur]) if raw is None else raw % bound
-    return g.indices[base[cur] + pick]
+    """Walk every lane ``count = min(k, left)`` steps on from its vertex in
+    ``cur`` and return the vertices it visits, a (count, lanes) array of
+    ``g.indices.dtype``; ``state`` (uint64[4, lanes]) advances in place.
+
+    One ``_twins._block`` of k = ``_block_steps`` rows feeds every step.
+    When an output the path would use is below ``floor``, the state is
+    restored and the steps draw one at a time through ``_lane_ints``."""
+    base, deg, threshold, ahead = tables
+    k = _block_steps(state.shape[1], left)
+    count = min(k, left)
+    saved = state.copy() if floor else None
+    rows = _twins._block(state, k)
+    path = np.empty((count, state.shape[1]), dtype=g.indices.dtype)
+    if floor and int(rows[:count].min()) < floor:
+        state[:] = saved
+        for t in range(count):
+            path[t] = cur = g.indices[base[cur] + _lane_ints(state, deg[cur], threshold[cur])]
+    elif ahead is not None:
+        # The picks become CSR positions in place: a lane at vertex c that
+        # picks p moves to indices[c * d + p], and the position after it is
+        # ahead[c * d + p] + the next pick. Every pick is below d, so its
+        # uint64 bits read as the same intp.
+        d = g.regular_degree
+        pos = np.remainder(rows[:count], np.uint64(d), out=rows[:count]).view(np.intp)
+        pos[0] += cur * np.intp(d)
+        for t in range(1, count):
+            np.add(ahead.take(pos[t - 1]), pos[t], out=pos[t])
+        np.take(g.indices, pos, out=path)
+    else:
+        for t in range(count):
+            path[t] = cur = g.indices[base[cur] + rows[t] % deg[cur]]
+    return path
 
 
 def _cover_lanes(g: Graph, seed: int, lo: int, hi: int, budget: int,
@@ -418,44 +429,58 @@ def _cover_lanes(g: Graph, seed: int, lo: int, hi: int, budget: int,
     if n == 1:
         return start, steps
     tables = _walk_tables(g)
-    draws = _LaneDraws(state, int(tables[2].max()))
+    floor = int(tables[2].max())
     lane = np.arange(hi - lo, dtype=np.int64)
-    row = lane * n  # a lane's offset into the flat (lane, vertex) visited matrix
-    seen = np.zeros((hi - lo) * n, dtype=bool)
-    seen[row + start] = True
+    # a lane's offset into the flat (lane, vertex) first-visit array
+    row = (lane * n).astype(g.indices.dtype)
+    dtype = np.int32 if budget < 2**31 - 1 else np.int64
+    first = np.full((hi - lo) * n, np.iinfo(dtype).max, dtype=dtype)
+    first[row + start] = 0
     left = np.full(hi - lo, n - 1, dtype=np.int64)
-    cur = start
-    for step in range(1, budget + 1):
-        cur = _step_lanes(g, tables, draws, cur, budget - step + 1)
-        cell = row + cur
-        left -= ~seen[cell]
-        seen[cell] = True
-        done = left == 0
-        if np.count_nonzero(done):
-            steps[lane[done]] = step
-            keep = ~done
-            lane, row, cur, left = lane[keep], row[keep], cur[keep], left[keep]
-            draws.keep(keep)
+    cur, done = start, 0
+    while done < budget:
+        path = _block_path(g, tables, state, floor, cur, budget - done)
+        cur = path[-1].copy()
+        cells = np.add(path, row, out=path)
+        at = np.arange(done + 1, done + len(path) + 1, dtype=dtype)[:, None]
+        done += len(path)
+        # a cell's first visit is its smallest step, repeats included
+        np.minimum.at(first, cells, np.broadcast_to(at, cells.shape))
+        new = first[cells]
+        np.equal(new, at, out=new)
+        np.cumsum(new, axis=0, out=new)
+        gained = new[-1]
+        covered = gained >= left
+        if np.count_nonzero(covered):
+            # a lane covers at the first row whose count reaches its left
+            steps[lane[covered]] = at[(new[:, covered] < left[covered]).sum(axis=0), 0]
+            keep = ~covered
+            lane, row, cur, left, gained, state = (lane[keep], row[keep], cur[keep],
+                                                   left[keep], gained[keep], state[:, keep])
             if not lane.size:
                 break
+        left -= gained
+        del path, cells, new, gained  # freed before the next block is drawn
     return start, steps
 
 
 def _probe_lanes(g: Graph, seed: int, lo: int, hi: int, u: int, v: int,
                  horizon: int) -> np.ndarray:
     tables = _walk_tables(g)
-    draws = _LaneDraws(_lane_states(seed, lo, hi), int(tables[2].max()))
+    floor = int(tables[2].max())
+    state = _lane_states(seed, lo, hi)
     hits = np.zeros(hi - lo, dtype=np.int64)
     lane = np.arange(hi - lo, dtype=np.int64)
-    cur = np.full(hi - lo, u, dtype=np.int64)
-    for step in range(horizon):
-        cur = _step_lanes(g, tables, draws, cur, horizon - step)
-        done = cur == v
-        if np.count_nonzero(done):
-            hits[lane[done]] = 1
-            keep = ~done
-            lane, cur = lane[keep], cur[keep]
-            draws.keep(keep)
+    cur, done = np.full(hi - lo, u, dtype=g.indices.dtype), 0
+    while done < horizon:
+        path = _block_path(g, tables, state, floor, cur, horizon - done)
+        done += len(path)
+        cur = path[-1]
+        hit = (path == v).any(axis=0)
+        if np.count_nonzero(hit):
+            hits[lane[hit]] = 1
+            keep = ~hit
+            lane, cur, state = lane[keep], cur[keep], state[:, keep]
             if not lane.size:
                 break
     return hits

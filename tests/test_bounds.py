@@ -200,6 +200,47 @@ def test_exact_binomial_ci_pinned_bits(hits, trials, level, want_lo, want_hi):
     assert (lo.hex(), hi.hex()) == (want_lo, want_hi)
 
 
+def generator_binomial_ci(hits, trials, level):
+    """The interval's bisection as a per-term Python generator: each step
+    sums exp(c + j * lp + (trials - j) * lq) over j in Python floats."""
+    alpha = 1.0 - level
+
+    def solve(target, k):
+        head = math.lgamma(trials + 1)
+        coef = [head - math.lgamma(j + 1) - math.lgamma(trials - j + 1) for j in range(k + 1)]
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lp, lq = math.log(mid), math.log1p(-mid)
+            cdf = math.fsum(math.exp(c + j * lp + (trials - j) * lq)
+                            for j, c in enumerate(coef))
+            settled = mid == lo or mid == hi
+            if cdf > target:
+                lo = mid
+            else:
+                hi = mid
+            if settled:
+                break
+        return 0.5 * (lo + hi)
+
+    lower = 0.0 if hits == 0 else solve(1.0 - alpha / 2.0, hits - 1)
+    upper = 1.0 if hits == trials else solve(alpha / 2.0, hits)
+    return lower, upper
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 10, 17, 200, 1000, 5000])
+def test_exact_binomial_ci_matches_the_generator_sum(trials):
+    """The array-built terms sum to the same floats as the generator's, so
+    every interval end agrees to the last bit. At 5000 trials only the
+    extreme levels run: the generator takes about 1 s per level there."""
+    levels = (0.5, 0.999) if trials == 5000 else (0.5, 0.9, 0.95, 0.99, 0.999)
+    for hits in sorted({0, 1, trials // 3, trials // 2, trials - 1, trials}):
+        for level in levels:
+            got = exact_binomial_ci(hits, trials, level)
+            want = generator_binomial_ci(hits, trials, level)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (hits, level)
+
+
 @pytest.mark.skipif(not HAS_SCIPY, reason="scipy not installed")
 def test_exact_binomial_ci_vs_beta_quantiles():
     for hits, trials in [(3, 10), (50, 200), (1, 7), (199, 200)]:

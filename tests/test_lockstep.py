@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tracelab import (GraphError, NUMBA_ENABLED, _kernels as K, _twins, complete_graph,
-                      counterexample_expander, cover_trial, cycle_graph,
+                      counterexample_expander, cover_trial, cycle_graph, path_graph,
                       random_regular, return_probe_trial, walks)
 
 
@@ -183,3 +183,42 @@ def test_block_below_the_floor_steps_one_at_a_time(lockstep, monkeypatch):
         moved.clear()
         run()
         assert any(moved)
+
+
+def test_cover_steps_at_block_ends(lockstep, monkeypatch):
+    """With 32-step blocks, lanes that cover on a block's last step and on
+    the next block's first step still equal their trials: the block's
+    bookkeeping counts a lane's new vertices up to the right row."""
+    monkeypatch.setattr(walks, "_BLOCK_CELLS", 1)
+    lanes = 200
+    assert walks._block_steps(lanes, 10**9) == _twins._LANE_STEPS
+    g = random_regular(30, 4, 1)
+    steps = lanes_vs_trials(g, 5, 0, lanes)
+    residues = set((steps % _twins._LANE_STEPS).tolist())
+    assert {0, 1} <= residues
+    probes_vs_trials(g, 5, 0, lanes, 0, 1, 3 * _twins._LANE_STEPS)
+
+
+def test_budget_beyond_int32(lockstep):
+    """A budget of 2**40 keeps first visits in int64; the lanes still cover
+    at the steps their trials do."""
+    steps = lanes_vs_trials(complete_graph(6), 9, 0, 20, budget=2**40)
+    assert (steps > 0).all()
+
+
+def test_general_step_loop_matches_the_regular_one(lockstep, monkeypatch):
+    """On a regular graph the lanes step through CSR positions and
+    ``ahead``; with ``ahead`` withheld they take the general CSR step, and
+    both equal the per-trial calls."""
+    g = random_regular(60, 4, 1)
+    assert walks._walk_tables(g)[3].tolist() == (g.indices * 4).tolist()
+    regular = lanes_vs_trials(g, 12, 0, 30).tolist()
+    hits = probes_vs_trials(g, 12, 0, 30, 0, 1, 40)
+    real = walks._walk_tables
+    monkeypatch.setattr(walks, "_walk_tables", lambda h: real(h)[:3] + (None,))
+    assert lanes_vs_trials(g, 12, 0, 30).tolist() == regular
+    assert probes_vs_trials(g, 12, 0, 30, 0, 1, 40) == hits
+    for h in (path_graph(60), counterexample_expander(30, 3)):
+        assert real(h)[3] is None
+        lanes_vs_trials(h, 12, 0, 30)
+        probes_vs_trials(h, 12, 0, 30, 0, h.n - 1, 200)
