@@ -14,12 +14,13 @@ caller's arrays and ``state``, so callers cannot tell the two apart.
 Block draws. From ``BLOCK_MIN`` draws on, ``draw_uints``, ``draw_ints``,
 ``shuffle_ints`` and ``walk_trace`` take their raw outputs from ``_block``,
 which runs the one stream as numpy sub-lanes at fixed offsets (a GF(2) jump
-ahead) and returns exactly what the scalar loop would draw. A bounded draw
-redraws an output below its rejection threshold, which moves every later
-draw, so when any block output falls below the largest threshold of the
-draws it feeds, the twin discards the block and replays its scalar loop
-from the saved state. The jump tables are built on the first block-sized
-draw, not at import. ``walk_stats``, ``hit_within_count`` and
+ahead), steps them in place, up to ``_WIDE_DRAWS`` outputs in one pass, and
+returns exactly what the scalar loop would draw. A bounded draw redraws an
+output below its rejection threshold, which moves every later draw, so
+when any block output falls below the largest threshold of the draws it
+feeds, the twin discards the block and replays its scalar loop from the
+saved state. Each of the 9 jump tables is built when a pass first needs
+it, not at import. ``walk_stats``, ``hit_within_count`` and
 ``posa_cycle`` stop early, so they draw one output at a time.
 
 ``_block`` also takes many streams at once, one per column of a
@@ -76,27 +77,49 @@ def _randint(s: list, n: int) -> int:
 # given as sub-lanes that start _LANE_STEPS steps apart: sub-lane j starts at
 # T^(j * _LANE_STEPS) s, so its next _LANE_STEPS outputs are the stream's
 # outputs from j * _LANE_STEPS on. Sub-lane starts are doubled from s through
-# _jumps()[k], the matrix of T^(_LANE_STEPS * 2**k) stored as one XOR table
+# _jumps(k), the matrix of T^(_LANE_STEPS * 2**k) stored as one XOR table
 # per 4-bit nibble of the state: a state's image is the XOR of its 64
-# nibbles' rows.
+# nibbles' rows. _steps moves every sub-lane one step with 12 in-place ufunc
+# calls on preallocated rows, its outputs written straight into the result.
 _LANE_STEPS = 32
-# sub-lanes per stream and pass, and the columns one table gather takes
+# sub-lanes per stream and pass of several streams; columns per table gather
 _MAX_LANES = 128
 _PASS_DRAWS = _MAX_LANES * _LANE_STEPS
+# a lone stream's sub-lanes per pass, which 9 jump tables reach
+_WIDE_LANES = 512
+_WIDE_DRAWS = _WIDE_LANES * _LANE_STEPS
 # Draw counts from here on take _block. Its floor, one pass of a few lanes,
-# took 0.66-0.76 ms on a 2-vCPU x86 machine, where the scalar loop pays
-# 1.1 us per raw output and 1.36 us per bounded draw: about 600 draws.
-BLOCK_MIN = 600
+# took 0.24-0.25 ms on a 2-vCPU x86 machine, where the scalar loop paid
+# 0.6 us per raw output and 0.7 us per bounded draw: about 400 draws.
+BLOCK_MIN = 400
 _NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64).reshape(1, 16, 1)
 _NIBBLE_ROWS = np.arange(0, 64 * 16, 16).reshape(64, 1)
+# 0-d arrays: a ufunc converts a numpy scalar operand anew on every call
+_R17, _R19, _R23, _R41, _R45 = (np.array(r, dtype=np.uint64) for r in (17, 19, 23, 41, 45))
 
 
-def _lane_step():
-    """The ``_kernels`` xoshiro step as Python: on a uint64[4, lanes] state
-    it steps every column at once. Imported on use, because ``_kernels``
-    imports this module (through ``_accel``)."""
-    from ._kernels import _next64
-    return getattr(_next64, "py_func", _next64)
+def _steps(lanes: np.ndarray, rows) -> None:
+    """The ``_kernels`` xoshiro256++ step, in place, on every state of
+    ``lanes`` (uint64[4, ...]) once per array in ``rows``, into which it
+    writes that step's outputs."""
+    s0, s1, s2, s3 = lanes
+    low, high, flip = lanes[:2], lanes[2:], lanes[:1:-1]
+    x = np.empty_like(s0)
+    y = np.empty_like(s0)
+    for row in rows:
+        np.add(s0, s3, out=x)
+        np.left_shift(x, _R23, out=y)
+        np.right_shift(x, _R41, out=x)
+        np.bitwise_or(x, y, out=x)
+        np.add(x, s0, out=row)
+        np.left_shift(s1, _R17, out=y)
+        # (s2, s3) ^= (s0, s1), then (s0, s1) ^= (s3, s2)
+        np.bitwise_xor(high, low, out=high)
+        np.bitwise_xor(low, flip, out=low)
+        np.bitwise_xor(s2, y, out=s2)
+        np.left_shift(s3, _R45, out=y)
+        np.right_shift(s3, _R19, out=s3)
+        np.bitwise_or(s3, y, out=s3)
 
 
 def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -105,9 +128,10 @@ def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     each (64, columns, 4) gather stays within 256 KB."""
     parts = []
     for i in range(0, states.shape[1], _MAX_LANES):
-        part = states[:, i:i + _MAX_LANES]
-        rows = ((part[:, None, :] >> _NIBBLE_SHIFTS) & np.uint64(15)).reshape(64, -1)
-        rows = rows.astype(np.intp) + _NIBBLE_ROWS
+        rows = states[:, None, i:i + _MAX_LANES] >> _NIBBLE_SHIFTS
+        rows &= np.uint64(15)  # below 16, so its bits read as the same intp
+        rows = rows.reshape(64, -1).view(np.intp)
+        rows += _NIBBLE_ROWS
         parts.append(np.bitwise_xor.reduce(np.take(table, rows, axis=0), axis=0).T)
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
@@ -125,21 +149,20 @@ def _table(images: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _jumps() -> tuple:
-    """Nibble tables of T^(_LANE_STEPS * 2**k) for every doubling a pass
-    makes, built on the first block-sized draw (32 KB each): the first by
-    stepping the 256 unit states, each later one by squaring."""
-    step = _lane_step()
-    bits = np.arange(256)
-    images = np.zeros((4, 256), dtype=np.uint64)
-    images[bits // 64, bits] = np.uint64(1) << (bits % 64).astype(np.uint64)
-    for _ in range(_LANE_STEPS):
-        step(images)
-    tables = [_table(images)]
-    while len(tables) < _MAX_LANES.bit_length() - 1:
-        images = _apply(tables[-1], images)
-        tables.append(_table(images))
-    return tuple(tables)
+def _jumps(k: int) -> np.ndarray:
+    """Nibble table of T^(_LANE_STEPS * 2**k), built when a pass first
+    doubles that far (32 KB): the first by stepping the 256 unit states,
+    each later one by squaring the one before."""
+    if k:
+        prev = _jumps(k - 1)
+        # the unit states' images are the rows of nibble values 1, 2, 4 and 8
+        images = _apply(prev, prev.reshape(64, 16, 4)[:, [1, 2, 4, 8]].reshape(256, 4).T)
+    else:
+        bits = np.arange(256)
+        images = np.zeros((4, 256), dtype=np.uint64)
+        images[bits // 64, bits] = np.uint64(1) << (bits % 64).astype(np.uint64)
+        _steps(images, np.empty((_LANE_STEPS, 256), dtype=np.uint64))
+    return _table(images)
 
 
 def _block(s, m: int) -> np.ndarray:
@@ -148,40 +171,39 @@ def _block(s, m: int) -> np.ndarray:
     or a uint64[4] array), drawn as uint64[m], or a uint64[4, L] array with
     one state per column, drawn as uint64[m, L].
 
-    A pass draws up to ``_PASS_DRAWS`` outputs of every column: the column
-    becomes up to ``_MAX_LANES`` sub-lanes ``_LANE_STEPS`` steps apart, all
-    stepped ``_LANE_STEPS`` times at once. The last sub-lane may feed fewer
-    steps; its state after them is where the column's next pass starts."""
-    step = _lane_step()
-    jumps = _jumps()
+    A pass draws up to ``_PASS_DRAWS`` outputs of every column, or
+    ``_WIDE_DRAWS`` of a lone one: the column becomes up to ``_MAX_LANES``
+    (``_WIDE_LANES``) sub-lanes ``_LANE_STEPS`` steps apart, all stepped
+    ``_LANE_STEPS`` times at once. The last sub-lane may feed fewer steps;
+    its state after them is where the column's next pass starts."""
     cur = np.array(s, dtype=np.uint64)
     shape = cur.shape
     cur = cur.reshape(4, -1)
     cols = cur.shape[1]
-    out = np.empty((m, cols), dtype=np.uint64)
+    per_pass = (_WIDE_LANES if cols == 1 else _MAX_LANES) * _LANE_STEPS
+    out = np.empty((-(-m // _LANE_STEPS) * _LANE_STEPS, cols), dtype=np.uint64)
     done = 0
     while done < m:
-        count = min(m - done, _PASS_DRAWS)
+        count = min(m - done, per_pass)
         subs = -(-count // _LANE_STEPS)
         # column j * cols + c is sub-lane j of stream c
-        lanes = cur
-        k = 0
-        while lanes.shape[1] < subs * cols:
-            more = _apply(jumps[k], lanes[:, :subs * cols - lanes.shape[1]])
-            lanes = np.concatenate([lanes, more], axis=1)
-            k += 1
-        rows = np.empty((_LANE_STEPS, subs * cols), dtype=np.uint64)
+        lanes = np.empty((4, subs * cols), dtype=np.uint64)
+        lanes[:, :cols] = cur
+        for k in range((subs - 1).bit_length()):
+            more = lanes[:, cols << k:cols << (k + 1)]
+            more[:] = _apply(_jumps(k), lanes[:, :more.shape[1]])
+        # step t of sub-lane j is output row done + j * _LANE_STEPS + t
+        rows = out[done:done + subs * _LANE_STEPS].reshape(subs, _LANE_STEPS, cols)
+        lanes = lanes.reshape(4, subs, cols)
+        rows = rows.transpose(1, 0, 2)
         last = count - (subs - 1) * _LANE_STEPS
-        for t in range(_LANE_STEPS):
-            rows[t] = step(lanes)
-            if t + 1 == last:
-                cur = lanes[:, -cols:].copy()
-        rows = rows.reshape(_LANE_STEPS, subs, cols).transpose(1, 0, 2)
-        out[done:done + count] = rows.reshape(-1, cols)[:count]
+        _steps(lanes, rows[:last])
+        cur = lanes[:, -1].copy()
+        _steps(lanes, rows[last:])
         done += count
     final = cur.reshape(shape)
     s[:] = final.tolist() if isinstance(s, list) else final
-    return out if len(shape) == 2 else out[:, 0]
+    return out[:m] if len(shape) == 2 else out[:m, 0]
 
 
 def _unrejected(state, count, floor):
@@ -228,7 +250,7 @@ def shuffle_ints(arr, state):
     while i > 0:
         # draws for positions i down to i - count + 1, one pass at a time, so
         # few picks are held as Python ints; every bound is at most i + 1
-        count = min(i, _PASS_DRAWS)
+        count = min(i, _WIDE_DRAWS)
         raw = _unrejected(state, count, i + 1)
         if raw is None:
             s = state.tolist()
@@ -291,7 +313,7 @@ def walk_trace(indptr, indices, start, length, state, path):
     seq = [cur]
     left = int(length)
     while left > 0:
-        count = min(left, _PASS_DRAWS)
+        count = min(left, _WIDE_DRAWS)
         raw = _unrejected(state, count, floor)
         if raw is None:
             s = state.tolist()

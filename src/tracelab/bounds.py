@@ -484,6 +484,13 @@ def visit_lower_bound(c: float, eps: float = 0.5) -> float:
     return (1.0 - eps) / math.sqrt(c)
 
 
+# exact_binomial_ci pays for an fsum of math.exp terms only where numpy's
+# sum is within this share of the target. numpy's exp differs from math's by
+# a few ulp per term, and pairwise summation of K terms stays within about
+# log2(K) ulp of the sum: below 1e-14 of it, a factor of 1,000 spare.
+_CDF_MARGIN = 1e-11
+
+
 def exact_binomial_ci(hits: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Clopper-Pearson interval by bisection on the exact binomial CDF."""
     if not (0 <= hits <= trials) or trials < 1:
@@ -495,8 +502,8 @@ def exact_binomial_ci(hits: int, trials: int, level: float = 0.95) -> tuple[floa
     def _solve(target: float, k: int) -> float:
         # p with binomial_cdf(trials, p, k) == target; cdf decreases in p.
         # The p-free part of each log pmf is formed once, in _binom_logpmf's
-        # order, so each step sums the same floats binomial_cdf would (its
-        # cap at 1 cannot change a comparison with target < 1). numpy's
+        # order, so a step's fsum sums the same floats binomial_cdf would
+        # (its cap at 1 cannot change a comparison with target < 1). numpy's
         # float64 add and multiply round as Python's do, term for term.
         head = math.lgamma(trials + 1)
         coef = np.array([head - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
@@ -507,7 +514,10 @@ def exact_binomial_ci(hits: int, trials: int, level: float = 0.95) -> tuple[floa
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             lp, lq = math.log(mid), math.log1p(-mid)
-            cdf = math.fsum(map(math.exp, (coef + j * lp + rest * lq).tolist()))
+            logs = coef + j * lp + rest * lq
+            cdf = float(np.exp(logs).sum())
+            if abs(cdf - target) <= _CDF_MARGIN * target:
+                cdf = math.fsum(map(math.exp, logs.tolist()))
             # once mid is lo or hi, this update leaves a fixed point
             settled = mid == lo or mid == hi
             if cdf > target:

@@ -126,6 +126,17 @@ def _suitable(stubs: np.ndarray, taken: np.ndarray, n: int) -> bool:
     return False
 
 
+def _first_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True)`` from one unstable argsort: a
+    key's first occurrence is the least position in its run of equal keys."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    return ordered[starts], np.minimum.reduceat(order, starts)
+
+
 def _pairing_attempt(n: int, d: int, state: np.ndarray, max_rounds: int):
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     taken = np.array([n * n], dtype=np.int64)
@@ -139,7 +150,7 @@ def _pairing_attempt(n: int, d: int, state: np.ndarray, max_rounds: int):
         keys = lo * n + hi
         fresh = np.flatnonzero((lo != hi) & ~_is_taken(keys, taken))
         # a key that repeats within the round pairs only at its first pair
-        new_keys, first = np.unique(keys[fresh], return_index=True)
+        new_keys, first = _first_keys(keys[fresh])
         keep = np.zeros(len(pairs), dtype=bool)
         keep[fresh[first]] = True
         taken = np.insert(taken, np.searchsorted(taken, new_keys), new_keys)

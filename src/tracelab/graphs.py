@@ -49,25 +49,16 @@ class Graph:
                 raise GraphError("edge endpoint out of range")
             if (u == v).any():
                 raise GraphError("self-loop rejected")
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            keys = lo * n + hi
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            if m > 1 and (keys[1:] == keys[:-1]).any():
-                raise GraphError("duplicate edge rejected")
-            lo, hi = lo[order], hi[order]
-        else:
-            lo = hi = u
-        heads = np.concatenate([lo, hi])
-        tails = np.concatenate([hi, lo])
-        order = np.argsort(heads * n + tails, kind="stable")
-        heads = heads[order]
-        tails = tails[order]
+        # each edge once as (u, v) and once as (v, u), as key head * n + tail:
+        # sorted, they are the CSR, and a repeated key is a repeated edge
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        if (keys[1:] == keys[:-1]).any():
+            raise GraphError("duplicate edge rejected")
+        heads = keys // n
+        indices = (keys - heads * n).astype(np.int32)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, heads + 1, 1)
+        indptr[1:] = np.bincount(heads, minlength=n)
         np.cumsum(indptr, out=indptr)
-        indices = tails.astype(np.int32)
         degs = np.diff(indptr)
         reg = int(degs[0]) if n and (degs == degs[0]).all() else None
         indptr.setflags(write=False)

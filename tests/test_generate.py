@@ -118,3 +118,20 @@ def test_spec_build_matches_direct_call():
 
 def test_generation_budget_error_type():
     assert issubclass(GenerationError, RuntimeError)
+
+
+def test_first_keys_is_unique_with_first_index():
+    """The pairing round's first-occurrence helper against
+    ``np.unique(..., return_index=True)``: keys with many repeats, keys
+    without any, one key, and none."""
+    from tracelab.generate import _first_keys
+    rng = np.random.default_rng(3)
+    cases = [rng.integers(0, 50, 2000), rng.integers(0, 5, 300),
+             rng.permutation(1000), np.array([7]), np.zeros(40, dtype=np.int64),
+             np.empty(0, dtype=np.int64)]
+    for keys in cases:
+        keys = keys.astype(np.int64)
+        got_keys, got_first = _first_keys(keys)
+        want_keys, want_first = np.unique(keys, return_index=True)
+        assert got_keys.tolist() == want_keys.tolist()
+        assert got_first.tolist() == want_first.tolist()

@@ -4,7 +4,8 @@ import pytest
 from tracelab import (Graph, GraphError, VertexSet, connectivity_profile,
                       edges_between, format_edge_text, internal_edges,
                       neighborhood, parse_edge_text)
-from tracelab.generate import complete_graph, cycle_graph, path_graph, petersen_graph
+from tracelab.generate import (complete_graph, counterexample_expander, cycle_graph, path_graph,
+                               petersen_graph, random_regular)
 
 
 def test_from_edges_basic():
@@ -156,3 +157,48 @@ def test_edges_between_requires_disjoint():
     g = complete_graph(4)
     with pytest.raises(GraphError):
         edges_between(g, VertexSet.of(4, [0, 1]), VertexSet.of(4, [1, 2]))
+
+
+def stable_sort_csr(n, edges):
+    """``Graph.from_edges``'s CSR as it was built with two stable argsorts
+    and ``np.add.at``, kept here as the reference."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.argsort(lo * n + hi, kind="stable")
+    lo, hi = lo[order], hi[order]
+    heads = np.concatenate([lo, hi])
+    tails = np.concatenate([hi, lo])
+    order = np.argsort(heads * n + tails, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, heads[order] + 1, 1)
+    return np.cumsum(indptr).tolist(), tails[order].astype(np.int32).tolist()
+
+
+def test_from_edges_matches_the_stable_sort_build():
+    """Shuffled and flipped edge lists of irregular graphs, some with
+    isolated vertices, give the CSR the stable-sort build gives."""
+    rng = np.random.default_rng(5)
+    cases = [(1, np.empty((0, 2), dtype=np.int64)), (5, [(4, 0)])]
+    for g in (path_graph(30), counterexample_expander(40, 4), random_regular(60, 6, 2)):
+        lo, hi = g.edge_array()
+        cases.append((g.n, np.column_stack([lo, hi])))
+    for n, m in ((50, 40), (200, 300)):
+        g = random_regular(n, 8, m)
+        lo, hi = g.edge_array()
+        keep = rng.permutation(len(lo))[:m]
+        cases.append((n, np.column_stack([lo[keep], hi[keep]])))
+    for n, edges in cases:
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        for _ in range(3):
+            shuffled = edges[rng.permutation(len(edges))]
+            flip = rng.random(len(edges)) < 0.5
+            shuffled[flip] = shuffled[flip, ::-1]
+            g = Graph.from_edges(n, shuffled)
+            assert (g.indptr.tolist(), g.indices.tolist()) == stable_sort_csr(n, shuffled)
+            assert g.indices.dtype == np.int32
+
+
+def test_from_edges_rejects_a_repeat_among_many():
+    edges = [(i, i + 1) for i in range(99)] + [(70, 69)]
+    with pytest.raises(GraphError, match="duplicate"):
+        Graph.from_edges(100, edges)

@@ -1,6 +1,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from tracelab import (BudgetError, Graph, GraphError, HamiltonError,
@@ -300,3 +301,21 @@ def test_hamilton_error_hierarchy():
     assert issubclass(HamiltonError, RuntimeError)
     with pytest.raises(GraphError):
         tau_times(random_regular(16, 4, 1), 99, 10, 0)
+
+
+def test_verify_cycle_rejects_every_kind_of_non_cycle():
+    g = cycle_graph(6)
+    ok = [2, 3, 4, 5, 0, 1]
+    assert verify_cycle(g, np.array(ok))
+    assert verify_cycle(g, np.array(ok, dtype=np.int32))
+    assert verify_cycle(g, (v for v in ok))
+    assert verify_cycle(g, tuple(ok))
+    assert not verify_cycle(g, [2, 3, 4, 5, 0, 6])
+    assert not verify_cycle(g, [2, 3, 4, 5, 0, -1])
+    assert not verify_cycle(g, [2, 3, 4, 5, 0, 0])
+    assert not verify_cycle(g, ok + [2])
+    assert not verify_cycle(g, ok[:-1])
+    assert not verify_cycle(g, [])
+    # a Hamilton path whose closing edge is missing
+    assert not verify_cycle(path_graph(6), [0, 1, 2, 3, 4, 5])
+    assert not verify_cycle(Graph.from_edges(4, []), [0, 1, 2, 3])

@@ -276,3 +276,33 @@ def test_ham_dp(g, hamiltonian):
     got, _ = both("ham_dp", nbr, np.int64(g.n), np.zeros(1 << g.n, dtype=np.uint32))
     if hamiltonian is not None:
         assert bool(int(got) & int(nbr[0])) == hamiltonian
+
+
+# a lone stream's pass is _WIDE_DRAWS outputs: one short of it, exactly one,
+# one past it and several passes
+WIDE_COUNTS = [_twins._WIDE_DRAWS - 1, _twins._WIDE_DRAWS, _twins._WIDE_DRAWS + 1, 40_000]
+
+
+@pytest.mark.parametrize("m", WIDE_COUNTS)
+def test_wide_pass_is_the_scalar_stream(m):
+    """A lone stream's ``_block`` and ``draw_uints`` around the wide pass
+    give the scalar loop's outputs and leave its final state."""
+    s = K.stream_state(13, 0).tolist()
+    want = [_twins._next64(s) for _ in range(m)]
+    for draw in (_twins._block, _twins.draw_uints):
+        state = K.stream_state(13, 0)
+        assert draw(state, m).tolist() == want, (draw.__name__, m)
+        assert state.tolist() == s, (draw.__name__, m)
+
+
+@pytest.mark.parametrize("size", [16_000, 20_000])
+def test_shuffle_across_wide_passes(size):
+    stubs = np.repeat(np.arange(size // 16, dtype=np.int64), 16)
+    both("shuffle_ints", stubs, K.stream_state(8, 0))
+
+
+def test_walk_trace_longer_than_a_wide_pass():
+    g = GRAPHS["counterexample"]
+    length = _twins._WIDE_DRAWS + 2 * LANE + 5
+    both("walk_trace", g.indptr, g.indices, np.int64(2), np.int64(length),
+         K.stream_state(10, 0), np.zeros(length + 1, dtype=np.int64))
