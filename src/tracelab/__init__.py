@@ -7,9 +7,8 @@ reproducible experiment harness with a CLI front end.
 """
 
 from ._accel import NUMBA_ENABLED
-from .graphs import (Graph, GraphError, VertexSet, connectivity_profile,
-                     edges_between, format_edge_text, internal_edges,
-                     neighborhood, parse_edge_text, read_edge_file,
+from .graphs import (Graph, GraphError, connectivity_profile,
+                     format_edge_text, parse_edge_text, read_edge_file,
                      write_edge_file)
 from .generate import (FAMILIES, GenSpec, GenerationError, complete_graph,
                        counterexample_expander, cycle_graph, path_graph,
@@ -22,10 +21,9 @@ from .bounds import (BoundsReport, BudgetError, MixingCheckReport,
                      binomial_cdf, binomial_tail_bound, bounds_report,
                      build_table, cover_time_spectral_bound,
                      exact_binomial_ci, expander_mixing_check, foster_sum,
-                     harmonic, hitting_time_exact, hitting_time_tetali,
-                     hitting_times_to, matthews_bounds, mixing_time_bound,
-                     paley_zygmund_lower, resistance_bounds,
-                     visit_lower_bound)
+                     harmonic, hitting_time_tetali, hitting_times_to,
+                     matthews_bounds, mixing_time_bound, paley_zygmund_lower,
+                     resistance_bounds, visit_lower_bound)
 from .walks import (BlanketResult, CoverStats, CoverSummary,
                     ReturnProbeResult, SegmentedVisitReport,
                     StrongCoverEstimate, WalkTrace, blanket_time,

@@ -66,13 +66,6 @@ def hitting_times_to(g: Graph, v: int) -> np.ndarray:
     return out
 
 
-def hitting_time_exact(g: Graph, u: int, v: int) -> float:
-    """Expected steps of the walk from u until it first sits on v."""
-    if not (0 <= u < g.n):
-        raise GraphError("vertex out of range")
-    return float(hitting_times_to(g, v)[u])
-
-
 def hitting_time_tetali(g: Graph, resistances: np.ndarray, u: int, v: int) -> float:
     """Hitting time from pairwise resistances alone:
 
@@ -260,7 +253,8 @@ def bounds_report(n: int, d: int, lam: float, eps: float = 0.1,
 
 @dataclass(frozen=True)
 class ResistanceHittingTable:
-    """All-pairs resistances and (optionally) hitting times, with provenance."""
+    """All-pairs resistances and, when ``hitting_method`` is "tetali", the
+    hitting times from them; ``hitting`` is None otherwise."""
 
     n: int
     resistance: np.ndarray
@@ -268,13 +262,10 @@ class ResistanceHittingTable:
     resistance_method: str
     hitting_method: str | None
 
-    def foster_total(self, g: Graph) -> float:
-        return foster_sum(g, self.resistance)
-
 
 def build_table(g: Graph, hitting: str | None = None) -> ResistanceHittingTable:
-    """Resistance table for ``g``; ``hitting`` in {None, "tetali", "exact"}
-    additionally fills the hitting-time matrix by the named route."""
+    """Resistance table for ``g``; ``hitting="tetali"`` also fills the
+    hitting-time matrix from the resistances, None leaves it empty."""
     r = resistance_matrix(g)
     h = None
     if hitting == "tetali":
@@ -284,12 +275,8 @@ def build_table(g: Graph, hitting: str | None = None) -> ResistanceHittingTable:
         with one_blas_thread():
             du = r @ deg
         h = 0.5 * (total * r - du[:, None] + du[None, :])
-    elif hitting == "exact":
-        h = np.zeros((g.n, g.n))
-        for v in range(g.n):
-            h[:, v] = hitting_times_to(g, v)
     elif hitting is not None:
-        raise ValueError("hitting must be None, 'tetali', or 'exact'")
+        raise ValueError("hitting must be None or 'tetali'")
     return ResistanceHittingTable(
         n=g.n, resistance=r, hitting=h,
         resistance_method="laplacian-dense",

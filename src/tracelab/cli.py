@@ -164,7 +164,10 @@ def _parse_mode(text: str) -> tuple[str, int]:
     if text == "exact":
         return "exact", 0
     if text.startswith("sampled:"):
-        k = int(text.split(":", 1)[1])
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"sample count must be an integer, got {text!r}") from exc
         if k < 1:
             raise ConfigError("sample count must be >= 1")
         return "sampled", k

@@ -1,4 +1,4 @@
-"""Immutable graph container, vertex-set helpers, and edge-list text I/O.
+"""Immutable graph container, vertex bitmask helpers, and edge-list text I/O.
 
 Graphs are simple and undirected, vertices are 0..n-1, and the adjacency
 structure is CSR with sorted neighbor lists. Arrays are frozen after
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -133,67 +133,6 @@ def connectivity_profile(g: Graph) -> tuple[bool, bool]:
                 elif color[y] == cx:
                     bipartite = False
     return components == 1, bipartite
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Subset of the vertices of an n-vertex graph, kept sorted."""
-
-    n: int
-    members: tuple[int, ...]
-
-    @staticmethod
-    def of(n: int, vertices: Iterable[int]) -> "VertexSet":
-        ms = sorted(set(int(v) for v in vertices))
-        if ms and (ms[0] < 0 or ms[-1] >= n):
-            raise GraphError("vertex out of range")
-        return VertexSet(n=n, members=tuple(ms))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __contains__(self, v: int) -> bool:
-        i = np.searchsorted(self.members, v) if self.members else 0
-        return i < len(self.members) and self.members[int(i)] == v
-
-    def as_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        if self.members:
-            mask[list(self.members)] = True
-        return mask
-
-
-def edges_between(g: Graph, s: VertexSet, t: VertexSet) -> int:
-    """Edge count across two disjoint vertex sets."""
-    if set(s.members) & set(t.members):
-        raise GraphError("sets must be disjoint")
-    tmask = t.as_mask()
-    total = 0
-    for v in s:
-        total += int(tmask[g.neighbors(v)].sum())
-    return total
-
-
-def internal_edges(g: Graph, s: VertexSet) -> int:
-    """Edge count inside one vertex set."""
-    smask = s.as_mask()
-    twice = 0
-    for v in s:
-        twice += int(smask[g.neighbors(v)].sum())
-    return twice // 2
-
-
-def neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    """External neighborhood N(S): vertices adjacent to S, minus S itself."""
-    if not s.members:
-        return VertexSet(n=g.n, members=())
-    parts = [g.neighbors(v) for v in s]
-    out = np.unique(np.concatenate(parts))
-    keep = ~np.isin(out, np.fromiter(s.members, dtype=np.int64, count=len(s.members)))
-    return VertexSet(n=g.n, members=tuple(int(v) for v in out[keep]))
 
 
 def neighbor_masks(g: Graph) -> list[int]:

@@ -263,48 +263,23 @@ def return_probe_trial(g: Graph, seed: int, unit: int, u: int, v: int,
 # batched trials: units lo..hi-1 at once
 # ---------------------------------------------------------------------------
 
-# The interpreted backend runs a batch as lockstep lanes, lane i on stream
-# (seed, lo + i), each drawing exactly what its per-trial kernel would. Lanes
-# walk a block at a time: one _twins._block call gives every live lane its
-# next k raw outputs (GF(2) jump-ahead sub-lanes, 32 steps each), and
-# _block_path turns them into the lanes' next k vertices, a (k, lanes) path.
-# On a graph where every vertex has degree d, the block's picks come from one
-# in-place modulo, each step is one gather and one add on CSR positions, and
-# one gather per block turns the positions into vertices; other graphs take
-# the CSR step indices[base[cur] + raw % deg[cur]].
-# The trial's bookkeeping then runs once per block on the whole path: a cover
-# lane's first-visit steps through np.minimum.at and a cumulative count of
-# its new vertices, a probe lane's hit as any v in its column. A lane is
-# dropped only at a block's end; the steps it walked after its trial ended
-# are discarded, so every output is the per-trial kernel's. With 80 lanes on
-# random_regular(500, 16, 0) a step costs about 2.0 us of walking and
-# 3.2-3.4 us of block drawing on a 2-vCPU x86 machine.
-#
-# A block holds at most _BLOCK_CELLS outputs (k = 32 times a power of two of
-# at most 128): 80 cover lanes draw 256 steps a block, 1000 probe lanes 32.
-# Larger blocks make fewer, wider sub-lane passes but hold more memory: on
-# the benchmark's walk_cover, 2**17 cells cut the round by about 9% and
-# raised peak RSS by 2.5 MB (7%); 2**15 did not move it. Every walk-step
-# bound is a vertex degree, so when an output a block will use falls below
-# the largest degree's rejection threshold (0 for power-of-two degrees), the
-# block's state is restored and its steps redraw one at a time through
-# _lane_ints, as the per-trial kernels do.
-#
-# Below _MIN_LANES cover lanes or _MIN_PROBE_LANES probe lanes the per-trial
-# kernels' Python-int twins are faster: every block pays a fixed numpy cost
-# that only several lanes amortise, and a short per-trial probe pays mostly
-# its set-up, so probes cross over sooner. Per-trial time over lane time,
-# median of 5 seeds on a 2-vCPU x86 machine, two runs: cover on
-# random_regular(500, 16, 0) 0.95-1.09 at 4 lanes, 1.37-1.48 at 6,
-# 1.73-1.93 at 8, 2.4-2.5 at 12; probes on random_regular(1000, 16, 0) at
-# horizon 250 0.91-1.07 at 2 lanes, 1.19-1.30 at 3, and at horizon 30
-# 0.96-1.01 at 2, 1.41-1.83 at 3. Graphs whose steps take the CSR path and
-# whose cover times spread widely cross over later, since a batch lasts as
-# long as its slowest lane: cover on counterexample_expander(200, 8) 0.6-0.8
-# at 8 lanes, 0.9-1.0 at 12, 1.2-1.9 at 16, and on path_graph(60) 0.6 at 8
-# and 12, 1.0 at 16.
-# A chunk holds _CHUNK_CELLS // n lanes, so a cover chunk's (lane, vertex)
-# first-visit array stays within _CHUNK_CELLS cells.
+# The interpreted backend runs a batch as lockstep lanes. CHANGES.md holds
+# the step costs and the crossover ratios behind the constants below.
+# - Lane i runs on stream (seed, lo + i) and draws exactly what its per-trial
+#   kernel draws, so every output is the per-trial call's.
+# - Lanes walk a block at a time: one _twins._block call gives every live
+#   lane its next k = 32 * 2**j raw outputs from 2**j <= 128 jump-ahead
+#   sub-lanes, with k * lanes within _BLOCK_CELLS unless k = 32.
+# - Every step bound is a vertex degree. When an output the block will use
+#   falls below the largest degree's rejection threshold, the block's state
+#   is restored and its steps redraw one at a time through _lane_ints.
+# - A lane drops out only at a block's end; the steps it walked after its
+#   trial ended are discarded.
+# - Below _MIN_LANES cover lanes or _MIN_PROBE_LANES probe lanes the
+#   per-trial Python-int twins run instead: each block pays a fixed numpy
+#   cost that only several lanes amortise. A chunk holds _CHUNK_CELLS // n
+#   lanes, so a cover chunk's (lane, vertex) first-visit array stays within
+#   _CHUNK_CELLS cells.
 _MIN_LANES = 6
 _MIN_PROBE_LANES = 3
 _CHUNK_CELLS = 1 << 20
@@ -497,6 +472,8 @@ def cover_trials(g: Graph, seed: int, lo: int, hi: int, budget: int | None = Non
     """
     if budget is None:
         budget = default_budget(g.n)
+    if budget < 0:
+        raise GraphError("budget must be >= 0")
     if starts is not None:
         if len(starts) != hi - lo:
             raise GraphError("starts needs one vertex per unit")

@@ -4,13 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tracelab import (GraphError, VertexSet, binomial_cdf,
-                      binomial_tail_bound, bounds_report, build_table,
-                      complete_graph, cover_time_spectral_bound, cycle_graph,
-                      edges_between, exact_binomial_ci, expander_mixing_check,
-                      foster_sum, harmonic, hitting_time_exact,
-                      hitting_time_tetali, hitting_times_to, internal_edges,
-                      matthews_bounds, mixing_time_bound, paley_zygmund_lower, path_graph,
+from tracelab import (GraphError, binomial_cdf, binomial_tail_bound,
+                      bounds_report, build_table, complete_graph,
+                      cover_time_spectral_bound, cycle_graph, exact_binomial_ci,
+                      expander_mixing_check, foster_sum, harmonic,
+                      hitting_time_tetali, hitting_times_to, matthews_bounds,
+                      mixing_time_bound, paley_zygmund_lower, path_graph,
                       petersen_graph, random_regular, resistance_bounds,
                       resistance_matrix, visit_lower_bound)
 
@@ -64,22 +63,26 @@ def test_tetali_matches_exact():
               random_regular(12, 3, 0), random_regular(14, 5, 1)]
     for g in graphs:
         r = resistance_matrix(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                want = hitting_time_exact(g, u, v)
+        for v in range(g.n):
+            want = hitting_times_to(g, v)
+            for u in range(g.n):
                 got = hitting_time_tetali(g, r, u, v)
-                assert abs(got - want) < 1e-8
+                assert abs(got - want[u]) < 1e-8
 
 
 def test_build_table_variants():
-    g = petersen_graph()
-    t = build_table(g, hitting="tetali")
-    t2 = build_table(g, hitting="exact")
-    assert np.allclose(t.hitting, t2.hitting, atol=1e-8)
+    # Petersen's hitting times are symmetric, so the path checks orientation
+    for g in (path_graph(6), petersen_graph()):
+        t = build_table(g, hitting="tetali")
+        want = np.column_stack([hitting_times_to(g, v) for v in range(g.n)])
+        assert np.allclose(t.hitting, want, atol=1e-8)
     assert np.allclose(np.diag(t.hitting), 0.0)
     assert t.resistance_method == "laplacian-dense"
     ft = foster_sum(g, t.resistance)
     assert ft == pytest.approx(9.0, abs=1e-9)
+    assert build_table(g).hitting is None
+    with pytest.raises(ValueError):
+        build_table(g, hitting="exact")
 
 
 def test_resistance_and_cover_bounds():
@@ -277,12 +280,15 @@ def test_mixing_check_flags_true_violation():
 
 def brute_mixing_counts(g):
     """(s, e(S)) for every nonempty S and (s, t, e(S, T)) for every unordered
-    disjoint pair, counted through the public VertexSet helpers."""
+    disjoint pair, counted edge by edge with ``g.has_edge``."""
     n = g.n
     full = (1 << n) - 1
-    sets = {m: VertexSet.of(n, [v for v in range(n) if m >> v & 1])
-            for m in range(1, full + 1)}
-    singles = [(len(sv), internal_edges(g, sv)) for sv in sets.values()]
+    sets = {m: [v for v in range(n) if m >> v & 1] for m in range(1, full + 1)}
+
+    def between(s, t):
+        return sum(1 for u in s for v in t if g.has_edge(u, v))
+
+    singles = [(len(sv), between(sv, sv) // 2) for sv in sets.values()]
     pairs = []
     for a, sv in sets.items():
         comp = full ^ a
@@ -290,7 +296,7 @@ def brute_mixing_counts(g):
         while b:
             if a < b:
                 tv = sets[b]
-                pairs.append((len(sv), len(tv), edges_between(g, sv, tv)))
+                pairs.append((len(sv), len(tv), between(sv, tv)))
             b = (b - 1) & comp
     return singles, pairs
 

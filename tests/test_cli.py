@@ -73,6 +73,13 @@ def test_cover_subcommand(capsys):
     assert 20 < d["mean"] < 60
 
 
+def test_cover_negative_budget_exits_one(capsys):
+    """A negative budget is refused, not reported as every trial censored."""
+    code, out, err = run_cli(capsys, "cover", "--family", "petersen", "--trials", "3",
+                             "--seed", "1", "--budget", "-5")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_hamilton_cycle_subcommand(capsys):
     code, out, _ = run_cli(capsys, "hamilton", "cycle", "--family", "petersen",
                            "--n", "10")
@@ -130,6 +137,18 @@ def test_mixing_subcommand(capsys):
 def test_mixing_nonpositive_lam_exits_one(capsys, lam, mode):
     code, out, err = run_cli(capsys, "mixing", "--family", "petersen", "--n", "10",
                              f"--lam={lam}", "--mode", mode)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("mixing", "--family", "petersen", "--lam", "2.0", "--mode", "sampled:abc"),
+    ("hamilton", "certify", "--family", "counterexample", "--n", "16", "--c", "2",
+     "--mode", "sampled:x2"),
+], ids=["mixing", "certify"])
+def test_malformed_sample_count_exits_one(capsys, argv):
+    """A sample count that is not an integer ends in an error line, not a
+    traceback."""
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:")
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from tracelab import (Graph, GraphError, VertexSet, connectivity_profile,
-                      edges_between, format_edge_text, internal_edges,
-                      neighborhood, parse_edge_text)
+from tracelab import (Graph, GraphError, connectivity_profile, format_edge_text,
+                      parse_edge_text)
 from tracelab.generate import (complete_graph, counterexample_expander, cycle_graph, path_graph,
                                petersen_graph, random_regular)
+from tracelab.graphs import mask_of, neighbor_masks, union_of
 
 
 def test_from_edges_basic():
@@ -122,41 +122,27 @@ def test_edge_file_roundtrip(tmp_path):
     assert list(h.edges()) == list(g.edges())
 
 
-def test_vertex_set_validation():
-    s = VertexSet.of(5, [3, 1])
-    assert s.members == (1, 3)
-    # set semantics: duplicates collapse
-    assert VertexSet.of(5, [1, 1]).members == (1,)
-    with pytest.raises(GraphError):
-        VertexSet.of(5, [5])
-    mask = s.as_mask()
-    assert mask.tolist() == [False, True, False, True, False]
-
-
 def test_set_edge_counts_against_brute_force():
+    """The bitmask set layer's edge counts and external neighbourhood, as the
+    expander sweeps and the mixing audit form them, against pair scans."""
     g = petersen_graph()
+    nbr = neighbor_masks(g)
     rng = np.random.default_rng(0)
     for _ in range(25):
         verts = rng.permutation(10)
-        a = VertexSet.of(10, verts[:3].tolist())
-        b = VertexSet.of(10, verts[3:6].tolist())
-        want_between = sum(1 for u in a.members for v in b.members if g.has_edge(u, v))
-        assert edges_between(g, a, b) == want_between
-        want_internal = sum(1 for i, u in enumerate(a.members)
-                            for v in a.members[i + 1:] if g.has_edge(u, v))
-        assert internal_edges(g, a) == want_internal
-        nb = neighborhood(g, a)
+        a = verts[:3].tolist()
+        b = verts[3:6].tolist()
+        amask, bmask = mask_of(a), mask_of(b)
+        want_between = sum(1 for u in a for v in b if g.has_edge(u, v))
+        assert sum((nbr[u] & bmask).bit_count() for u in a) == want_between
+        want_internal = sum(1 for i, u in enumerate(a)
+                            for v in a[i + 1:] if g.has_edge(u, v))
+        assert sum((nbr[u] & amask).bit_count() for u in a) == 2 * want_internal
         want_nb = set()
-        for u in a.members:
+        for u in a:
             want_nb.update(int(w) for w in g.neighbors(u))
-        want_nb -= set(a.members)
-        assert set(nb.members) == want_nb
-
-
-def test_edges_between_requires_disjoint():
-    g = complete_graph(4)
-    with pytest.raises(GraphError):
-        edges_between(g, VertexSet.of(4, [0, 1]), VertexSet.of(4, [1, 2]))
+        want_nb -= set(a)
+        assert union_of(nbr, a) & ~amask == mask_of(want_nb)
 
 
 def stable_sort_csr(n, edges):
