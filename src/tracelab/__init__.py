@@ -28,18 +28,17 @@ from .walks import (BlanketResult, CoverStats, CoverSummary,
                     ReturnProbeResult, SegmentedVisitReport,
                     StrongCoverEstimate, WalkTrace, blanket_time,
                     blanket_trial, cover_stats, cover_time_empirical,
-                    cover_trial, default_budget, min_visit_ratio,
-                    return_probe, return_probe_trial,
-                    segmented_visit_experiment, simulate_walk, start_pool,
-                    strong_cover_estimate, trace_graph, trace_prefix_graph,
-                    visits_trial)
+                    cover_trial, default_budget, return_probe,
+                    return_probe_trial, segmented_visit_experiment,
+                    simulate_walk, start_pool, strong_cover_estimate,
+                    trace_graph, trace_prefix_graph, visits_trial)
 from .hamilton import (CycleResult, ExpanderCertificate, ExpanderCheck,
                        HamiltonError, TauResult, certify_expander,
                        check_expansion, check_joinedness, hamiltonian_exact,
                        hamiltonian_posa, tau_times, verify_cycle)
 from .harness import (ConfigError, ExperimentConfig, ExperimentResult,
-                      emit_plot_data, evaluate_checks, load_config,
-                      run_experiment, summarize, write_result)
+                      evaluate_checks, load_config, run_experiment,
+                      summarize, write_result)
 
 __version__ = "0.1.0"
 

@@ -144,15 +144,6 @@ class SpectralCoverBound:
     lower_in_band: bool
     upper_in_band: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n, "d": self.d, "lambda": self.lam, "eps": self.eps,
-            "h_lower": self.h_lower, "h_upper": self.h_upper,
-            "cover_upper": self.cover_upper,
-            "lower_in_band": self.lower_in_band,
-            "upper_in_band": self.upper_in_band,
-        }
-
 
 def cover_time_spectral_bound(n: int, d: int, lam: float, eps: float = 0.1) -> SpectralCoverBound:
     """Hitting-time sandwich for an (n, d, lam) graph plus its cover bound.

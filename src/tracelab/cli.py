@@ -63,10 +63,6 @@ def _graph_from_args(args) -> Graph:
         return read_edge_file(args.input)
     if not args.family:
         raise ConfigError("need --input or --family")
-    return _spec_from_args(args).build()
-
-
-def _spec_from_args(args) -> GenSpec:
     data: dict[str, Any] = {"family": args.family}
     n = args.n
     if n is None and args.family == "petersen":
@@ -80,7 +76,7 @@ def _spec_from_args(args) -> GenSpec:
         data["c"] = args.c
     if args.graph_seed is not None:
         data["seed"] = args.graph_seed
-    return GenSpec.from_dict(data)
+    return GenSpec.from_dict(data).build()
 
 
 def _build_parser() -> _Parser:
@@ -176,7 +172,7 @@ def _parse_mode(text: str) -> tuple[str, int]:
 
 def _run(args) -> int:
     if args.command == "gen":
-        g = _graph_from_args(args) if args.input else _spec_from_args(args).build()
+        g = _graph_from_args(args)
         if args.output:
             write_edge_file(g, args.output)
             _dump({"n": g.n, "edges": g.edge_count, "output": args.output})

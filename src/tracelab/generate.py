@@ -79,16 +79,6 @@ class GenSpec:
             return path_graph(self.n)
         return petersen_graph()
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"family": self.family, "n": self.n}
-        if self.d is not None:
-            out["d"] = self.d
-        if self.c is not None:
-            out["c"] = self.c
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "GenSpec":
         allowed = {"family", "n", "d", "c", "seed"}

@@ -1,5 +1,5 @@
 """Experiment harness: versioned JSON configs, deterministic per-trial rows,
-CSV/JSON persistence, threshold checks, and plot-data extraction.
+CSV/JSON persistence and threshold checks.
 
 Reproducibility contract: row i of an experiment depends only on the config
 (seed included) and i, never on worker count or row order. Trials use RNG
@@ -687,68 +687,3 @@ def evaluate_checks(stats: dict[str, Any], check: dict[str, float]) -> list[str]
             failures.append(f"{key}: {value} > {bound}")
     return failures
 
-
-# ---------------------------------------------------------------------------
-# plot data
-# ---------------------------------------------------------------------------
-
-PLOT_KINDS = ("cover_vs_n", "success_vs_multiplier", "tau_gap_histogram", "tv_profile")
-
-
-def emit_plot_data(results, kind: str, out_dir: str | os.PathLike = ".",
-                   prefix: str | None = None, t_max: int = 64, start: int = 0) -> str:
-    """Reduce one or more results to a small CSV ready for plotting."""
-    if kind not in PLOT_KINDS:
-        raise ConfigError(f"unknown plot kind {kind!r}")
-    if isinstance(results, ExperimentResult):
-        results = [results]
-    base = Path(out_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    path = base / f"{prefix or kind}.csv"
-    if kind == "cover_vs_n":
-        rows = []
-        for res in results:
-            if res.config.experiment not in ("cover", "counterexample"):
-                raise ConfigError("cover_vs_n needs cover-style results")
-            rows.append([res.config.graph["n"], res.stats["rows"],
-                         res.stats.get("mean"), res.stats.get("stderr")])
-        rows.sort(key=lambda r: r[0])
-        text = rows_to_csv(["n", "trials", "mean", "stderr"], rows)
-    elif kind == "success_vs_multiplier":
-        rows = []
-        for res in results:
-            cfg = res.config
-            if cfg.experiment == "strong_cover":
-                frac = res.stats["fraction"]
-            elif cfg.experiment == "trace_hamilton":
-                frac = res.stats["found_fraction"]
-            else:
-                raise ConfigError("success_vs_multiplier needs strong_cover or trace_hamilton")
-            x = cfg.walk_multiplier
-            if x is None:
-                n = int(cfg.graph["n"])
-                x = cfg.walk_steps / (n * math.log(n))
-            rows.append([x, res.stats["rows"], frac])
-        rows.sort(key=lambda r: r[0])
-        text = rows_to_csv(["multiplier", "trials", "fraction"], rows)
-    elif kind == "tau_gap_histogram":
-        (res,) = results
-        if res.config.experiment != "tau":
-            raise ConfigError("tau_gap_histogram needs a tau result")
-        cols = COLUMNS["tau"]
-        gaps: dict[int, int] = {}
-        for row in res.rows:
-            t1 = row[cols.index("tau1")]
-            th = row[cols.index("tau_hc")]
-            if t1 is not None and th is not None:
-                gaps[th - t1] = gaps.get(th - t1, 0) + 1
-        text = rows_to_csv(["gap", "count"],
-                           [[k, gaps[k]] for k in sorted(gaps)])
-    else:  # tv_profile
-        (res,) = results
-        from .spectral import tv_distance_profile
-        g = res.config.graph_spec().build()
-        profile = tv_distance_profile(g, start, t_max)
-        text = rows_to_csv(["t", "tv"], [[t, float(x)] for t, x in enumerate(profile)])
-    path.write_text(text, encoding="ascii")
-    return str(path)

@@ -24,10 +24,8 @@ from .graphs import Graph, GraphError, connectivity_profile
 
 AUX_STREAM = K.AUX_STREAM
 
-# The xoshiro256++ step and the splitmix64 finaliser as Python source (numba
-# keeps them as ``py_func``). Given uint64 arrays they work elementwise: the
-# step advances every column of a uint64[4, lanes] state at once.
-_next64 = getattr(K._next64, "py_func", K._next64)
+# The splitmix64 finaliser as Python source (numba keeps it as ``py_func``).
+# Given a uint64 array it works elementwise.
 _mix64 = getattr(K._mix64, "py_func", K._mix64)
 
 # sample size for start pools on graphs too large to enumerate every start
@@ -171,15 +169,6 @@ def trace_prefix_graph(trace: WalkTrace, upto_step: int) -> Graph:
     return Graph.from_edges(trace.n, np.column_stack([trace.edge_u[keep], trace.edge_v[keep]]))
 
 
-def min_visit_ratio(trace: WalkTrace) -> float:
-    """min_v visits(v) / ln n, the load-balance figure; 0 when uncovered."""
-    if trace.n < 2:
-        raise GraphError("ratio needs n >= 2")
-    if not trace.covered:
-        return 0.0
-    return float(trace.visit_counts.min()) / math.log(trace.n)
-
-
 # ---------------------------------------------------------------------------
 # per-trial primitives (unit index == stream index)
 # ---------------------------------------------------------------------------
@@ -218,6 +207,8 @@ def cover_trial(g: Graph, seed: int, unit: int, budget: int | None = None,
     """
     if budget is None:
         budget = default_budget(g.n)
+    if budget < 0:
+        raise GraphError("budget must be >= 0")
     state, start = _trial_start(g, seed, unit, start)
     cover, _, _, _ = _walk(g, state, start, budget, 0.0, 1)
     return start, cover
@@ -231,6 +222,8 @@ def blanket_trial(g: Graph, seed: int, unit: int, delta: float,
     _check_delta(delta)
     if budget is None:
         budget = 4 * default_budget(g.n)
+    if budget < 0:
+        raise GraphError("budget must be >= 0")
     state, start = _trial_start(g, seed, unit, start)
     cover, blanket, _, _ = _walk(g, state, start, budget, delta, 2)
     return start, cover, blanket
@@ -321,14 +314,15 @@ def _lane_ints(state: np.ndarray, bound, threshold) -> np.ndarray:
     by threshold rejection; ``bound`` and ``threshold`` are uint64 scalars or
     per-lane arrays. A lane whose output falls below its threshold redraws
     alone, on its own state, until it clears it."""
-    r = _next64(state)
+    r = np.empty(state.shape[1], dtype=np.uint64)
+    _twins._steps(state, [r])
     low = r < threshold
     if np.count_nonzero(low):
         threshold = np.broadcast_to(threshold, r.shape)
         for i in low.nonzero()[0]:
-            s = state[:, i].copy()
+            s = state[:, i].tolist()
             while r[i] < threshold[i]:
-                r[i] = _next64(s)
+                r[i] = _twins._next64(s)
             state[:, i] = s
     return r % bound
 

@@ -19,6 +19,12 @@ def test_gen_to_stdout(capsys):
     assert len(lines) == 6
 
 
+def test_gen_without_a_source_exits_one(capsys):
+    code, out, err = run_cli(capsys, "gen", "--n", "5")
+    assert code == 1 and out == ""
+    assert "need --input or --family" in err
+
+
 def test_gen_roundtrip_through_file(capsys, tmp_path):
     path = str(tmp_path / "g.txt")
     code, out, _ = run_cli(capsys, "gen", "--family", "random_regular",

@@ -9,9 +9,8 @@ import pytest
 
 from tracelab import cover_time_empirical, cycle_graph, generate, harness
 from tracelab.harness import (COLUMNS, ConfigError, ExperimentConfig,
-                              emit_plot_data, evaluate_checks, load_config,
-                              rows_to_csv, run_experiment, summarize,
-                              write_result)
+                              evaluate_checks, load_config, rows_to_csv,
+                              run_experiment, summarize, write_result)
 
 BASE = {
     "version": 1,
@@ -353,33 +352,3 @@ def test_load_config(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
 
-
-def test_emit_plot_data(tmp_path):
-    covers = []
-    for n in (16, 8):
-        cfg = cfg_with(graph={"family": "complete", "n": n}, trials=10)
-        covers.append(run_experiment(cfg))
-    path = emit_plot_data(covers, "cover_vs_n", tmp_path)
-    lines = Path(path).read_text().splitlines()
-    assert lines[0] == "n,trials,mean,stderr"
-    assert lines[1].startswith("8,") and lines[2].startswith("16,")
-
-    sc = run_experiment(cfg_with(experiment="strong_cover",
-                                 walk={"multiplier": 2.0}, trials=10))
-    path = emit_plot_data([sc], "success_vs_multiplier", tmp_path)
-    assert Path(path).read_text().splitlines()[1].startswith("2.0,")
-
-    tau = run_experiment(ExperimentConfig.from_dict({
-        "version": 1, "experiment": "tau",
-        "graph": {"family": "random_regular", "n": 12, "d": 4},
-        "trials": 3, "seed": 5, "walk": {"multiplier": 6.0},
-    }))
-    path = emit_plot_data(tau, "tau_gap_histogram", tmp_path)
-    assert Path(path).read_text().splitlines()[0] == "gap,count"
-
-    path = emit_plot_data(covers[0], "tv_profile", tmp_path, t_max=5)
-    rows = Path(path).read_text().splitlines()
-    assert rows[0] == "t,tv" and len(rows) == 7
-
-    with pytest.raises(ConfigError):
-        emit_plot_data(covers, "pie_chart", tmp_path)

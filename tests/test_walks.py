@@ -11,12 +11,12 @@ import pytest
 from tracelab import _kernels as K
 from tracelab import (GraphError, blanket_time, blanket_trial, complete_graph,
                       counterexample_expander, cover_stats,
-                      cover_time_empirical, cover_trial,
-                      cycle_graph, default_budget, min_visit_ratio,
-                      path_graph, random_regular, return_probe,
-                      return_probe_trial, segmented_visit_experiment,
-                      simulate_walk, start_pool, strong_cover_estimate,
-                      trace_graph, trace_prefix_graph, visits_trial)
+                      cover_time_empirical, cover_trial, cycle_graph,
+                      default_budget, path_graph, random_regular,
+                      return_probe, return_probe_trial,
+                      segmented_visit_experiment, simulate_walk, start_pool,
+                      strong_cover_estimate, trace_graph, trace_prefix_graph,
+                      visits_trial)
 from tracelab.graphs import Graph
 
 
@@ -73,15 +73,6 @@ def test_trace_graph_and_prefix():
     assert full.edge_count == tg.edge_count
 
 
-def test_min_visit_ratio():
-    g = complete_graph(8)
-    tr = simulate_walk(g, 0, 400, 1)
-    assert tr.covered
-    assert min_visit_ratio(tr) == pytest.approx(tr.visit_counts.min() / math.log(8))
-    short = simulate_walk(g, 0, 1, 1)
-    assert min_visit_ratio(short) == 0.0
-
-
 def test_cover_trial_matches_simulated_walk():
     """cover_trial with a fixed start consumes exactly the same stream as
     simulate_walk, so the cover step must agree."""
@@ -119,6 +110,17 @@ def test_cover_censoring():
     cs = cover_time_empirical(g, 10, 0, budget=10)
     assert cs.censored == 10
     assert math.isnan(cs.mean)
+
+
+def test_per_trial_walks_reject_negative_budget():
+    g = complete_graph(6)
+    with pytest.raises(GraphError, match="budget must be >= 0"):
+        cover_trial(g, 1, 0, -5)
+    with pytest.raises(GraphError, match="budget must be >= 0"):
+        blanket_trial(g, 1, 0, 0.1, budget=-5)
+    with pytest.raises(GraphError, match="budget must be >= 0"):
+        blanket_time(g, 0, 0.1, 1, budget=-5)
+    assert cover_trial(g, 1, 0, 0, start=2) == (2, -1)
 
 
 def test_strong_cover_estimate():
