@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -212,15 +211,6 @@ class BoundsReport:
     lower_in_band: bool
     upper_in_band: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n, "d": self.d, "lambda": self.lam, "eps": self.eps,
-            "xi": self.xi, "h_lower": self.h_lower, "h_upper": self.h_upper,
-            "cover_lower": self.cover_lower, "cover_upper": self.cover_upper,
-            "mixing_bound": self.mixing_bound, "convention": self.convention,
-            "lower_in_band": self.lower_in_band, "upper_in_band": self.upper_in_band,
-        }
-
 
 def bounds_report(n: int, d: int, lam: float, eps: float = 0.1,
                   xi: float | None = None, convention: str = "n-1") -> BoundsReport:
@@ -280,6 +270,8 @@ def build_table(g: Graph, hitting: str | None = None) -> ResistanceHittingTable:
 # ---------------------------------------------------------------------------
 
 _EXACT_MIXING_LIMIT = 16
+# how far a deviation must beat its allowance to count as a violation
+_MIXING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -303,22 +295,9 @@ class MixingCheckReport:
     def passed(self) -> bool:
         return self.violations == 0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "single_max_ratio": self.single_max_ratio,
-            "pair_max_ratio": self.pair_max_ratio,
-            "singles_checked": self.singles_checked,
-            "pairs_checked": self.pairs_checked,
-            "violations": self.violations,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
-
 
 def expander_mixing_check(g: Graph, lam: float, mode: str = "exact",
-                          samples: int = 64, seed: int = 0,
-                          slack: float = 1e-9) -> MixingCheckReport:
+                          samples: int = 64, seed: int = 0) -> MixingCheckReport:
     """Audit the mixing-lemma inequalities on a d-regular graph.
 
     Single sets:  |e(S) - d s^2 / (2n)| <= lam * s / 2.
@@ -351,10 +330,10 @@ def expander_mixing_check(g: Graph, lam: float, mode: str = "exact",
         dev = np.abs(e[1:].astype(np.float64) - d * s * s / (2.0 * n))
         allow = lam * s / 2.0
         single_max = float((dev / allow).max())
-        single_viol = int((dev > allow + slack).sum())
+        single_viol = int((dev > allow + _MIXING_SLACK).sum())
         pair_max, pair_viol = K.pair_mixing_scan(
             np.array(nbr, dtype=np.int64), np.int64(n), np.int64(d), float(lam),
-            pop, e, float(slack))
+            pop, e, _MIXING_SLACK)
         pairs_checked = (3 ** n - 2 ** (n + 1) + 1) // 2
         return MixingCheckReport(
             mode="exact",
@@ -363,7 +342,7 @@ def expander_mixing_check(g: Graph, lam: float, mode: str = "exact",
             singles_checked=top - 1,
             pairs_checked=pairs_checked,
             violations=single_viol + int(pair_viol),
-            slack=slack,
+            slack=_MIXING_SLACK,
         )
     if mode != "sampled":
         raise GraphError(f"unknown mode {mode!r}")
@@ -388,13 +367,13 @@ def expander_mixing_check(g: Graph, lam: float, mode: str = "exact",
             devp = abs(est - d * s * s / float(n))
             single_max = max(single_max, dev / allow)
             pair_max = max(pair_max, devp / allowp)
-            violations += int(dev > allow + slack) + int(devp > allowp + slack)
+            violations += int(dev > allow + _MIXING_SLACK) + int(devp > allowp + _MIXING_SLACK)
             checked += 1
         s *= 2
     return MixingCheckReport(
         mode="sampled", single_max_ratio=single_max, pair_max_ratio=pair_max,
         singles_checked=checked, pairs_checked=checked,
-        violations=violations, slack=slack,
+        violations=violations, slack=_MIXING_SLACK,
     )
 
 

@@ -2,14 +2,17 @@
 
 Every subcommand prints one JSON document (except ``gen`` without
 ``--output``, which prints the edge-list text itself) so runs compose with
-shell pipelines. Exit codes: 0 success, 1 invalid input or config, 2 a
-computation could not finish (generation dead end, eigensolver stall,
-budget cap), 3 an experiment check failed its threshold.
+shell pipelines. Exit codes: 0 success, 1 invalid input or config or a
+file that cannot be read or written, 2 a computation could not finish
+(generation dead end, eigensolver stall, budget cap), 3 an experiment
+check failed its threshold. A result dataclass prints as its fields; the
+few JSON keys that are not fields are added where the subcommand prints it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -38,8 +41,11 @@ def _dump(obj: Any) -> None:
 
 
 def _jsonable(obj: Any) -> Any:
+    if dataclasses.is_dataclass(obj):
+        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        # text keys, so sort_keys orders walk's float deltas as printed
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -182,7 +188,7 @@ def _run(args) -> int:
 
     if args.command == "spectral":
         g = _graph_from_args(args)
-        _dump(eigen_extremes(g, tol=args.tol, method=args.method).to_dict())
+        _dump(eigen_extremes(g, tol=args.tol, method=args.method))
         return 0
 
     if args.command == "bounds":
@@ -194,26 +200,22 @@ def _run(args) -> int:
                                    convention=args.convention)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        _dump(report.to_dict())
+        out = dataclasses.asdict(report)
+        out["lambda"] = out.pop("lam")
+        _dump(out)
         return 0
 
     if args.command == "mixing":
         g = _graph_from_args(args)
         mode, k = _parse_mode(args.mode)
-        _dump(expander_mixing_check(g, args.lam, mode=mode, samples=k,
-                                    seed=args.seed).to_dict())
+        report = expander_mixing_check(g, args.lam, mode=mode, samples=k, seed=args.seed)
+        _dump({**dataclasses.asdict(report), "passed": report.passed})
         return 0
 
     if args.command == "walk":
         g = _graph_from_args(args)
         deltas = tuple(args.delta) if args.delta else (0.1,)
-        st = cover_stats(g, args.start, args.steps, args.seed, deltas=deltas)
-        _dump({
-            "start": st.start, "length": st.length, "cover_step": st.cover_step,
-            "blanket_steps": {repr(d): s for d, s in st.blanket_steps.items()},
-            "min_visits": st.min_visits, "max_visits": st.max_visits,
-            "min_visit_ratio": st.min_visit_ratio,
-        })
+        _dump(cover_stats(g, args.start, args.steps, args.seed, deltas=deltas))
         return 0
 
     if args.command == "cover":
@@ -244,7 +246,7 @@ def _run(args) -> int:
                 raise ConfigError("certify needs --cert-c (or the family --c)")
             cert = certify_expander(g, float(cert_c), mode=mode, samples=k,
                                     seed=args.seed)
-            _dump(cert.to_dict())
+            _dump({**dataclasses.asdict(cert), "certified": cert.certified})
             return 0
         if args.ham_command == "cycle":
             if args.method == "exact":
@@ -252,11 +254,10 @@ def _run(args) -> int:
                 res = hamiltonian_exact(g, **kw)
             else:
                 res = hamiltonian_posa(g, args.seed, max_rotations=args.budget)
-            _dump(res.to_dict())
+            _dump(res)
             return 0
-        res = tau_times(g, args.start, args.walk_length, args.seed,
-                        checker_budget=args.checker_budget)
-        _dump(res.to_dict())
+        _dump(tau_times(g, args.start, args.walk_length, args.seed,
+                        checker_budget=args.checker_budget))
         return 0
 
     if args.command == "experiment":
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except (ConfigError, GraphError) as exc:
+    except (ConfigError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (GenerationError, SpectralError, BudgetError, HamiltonError) as exc:

@@ -20,6 +20,9 @@ class GenerationError(RuntimeError):
 
 FAMILIES = ("random_regular", "counterexample", "complete", "cycle", "path", "petersen")
 
+# pairing attempts before random_regular gives up
+_PAIRING_RESTARTS = 1000
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -154,7 +157,7 @@ def _pairing_attempt(n: int, d: int, state: np.ndarray, max_rounds: int):
     return None
 
 
-def random_regular(n: int, d: int, seed: int, max_restarts: int = 1000) -> Graph:
+def random_regular(n: int, d: int, seed: int) -> Graph:
     """Sample a simple d-regular graph on n vertices (pairing model).
 
     Pairs shuffled edge stubs, keeps the simple pairs, and re-shuffles only
@@ -165,12 +168,12 @@ def random_regular(n: int, d: int, seed: int, max_restarts: int = 1000) -> Graph
     """
     GenSpec(family="random_regular", n=n, d=d, seed=seed)
     state = K.stream_state(seed, 0)
-    for _ in range(max_restarts):
+    for _ in range(_PAIRING_RESTARTS):
         edges = _pairing_attempt(n, d, state, max_rounds=200)
         if edges is not None:
             return Graph.from_edges(n, edges)
     raise GenerationError(
-        f"no simple {d}-regular pairing on {n} vertices after {max_restarts} attempts"
+        f"no simple {d}-regular pairing on {n} vertices after {_PAIRING_RESTARTS} attempts"
     )
 
 

@@ -220,4 +220,8 @@ def write_edge_file(g: Graph, path) -> None:
 
 def read_edge_file(path) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"edge file is not ASCII: {exc}") from exc
+    return parse_edge_text(text)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,14 +48,6 @@ class ExpanderCheck:
     checked: int
     exhaustive: bool
     witness: tuple | None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind, "c": self.c, "passed": self.passed,
-            "mode": self.mode, "set_size": self.set_size,
-            "checked": self.checked, "exhaustive": self.exhaustive,
-            "witness": self.witness,
-        }
 
 
 def _check_sweep(c: float, mode: str, samples: int) -> None:
@@ -161,13 +153,6 @@ class ExpanderCertificate:
     def certified(self) -> bool:
         return self.expansion.passed and self.joinedness.passed
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "c": self.c, "certified": self.certified,
-            "expansion": self.expansion.to_dict(),
-            "joinedness": self.joinedness.to_dict(),
-        }
-
 
 def certify_expander(g: Graph, c: float, mode: str = "exact", samples: int = 64,
                      seed: int = 0, budget: int = 2_000_000) -> ExpanderCertificate:
@@ -202,11 +187,6 @@ class CycleResult:
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"status": self.status, "method": self.method,
-                "cycle": None if self.cycle is None else list(self.cycle),
-                "work": dict(self.work)}
 
 
 def _rules_out_cycle(g: Graph) -> bool:
@@ -417,12 +397,6 @@ class TauResult:
     exact: bool
     censored: bool
     probes: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"start": self.start, "length": self.length,
-                "tau1": self.tau1, "tau_hc": self.tau_hc,
-                "exact": self.exact, "censored": self.censored,
-                "probes": self.probes}
 
 
 def _prefix_hamiltonian(trace: WalkTrace, upto: int, exact: bool, seed: int,

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -293,7 +293,7 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a file that is not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(data)
 
@@ -667,9 +667,7 @@ def write_result(result: ExperimentResult, out_dir: str | os.PathLike | None = N
     }
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                          encoding="ascii")
-    return ExperimentResult(config=cfg, columns=result.columns, rows=result.rows,
-                            stats=result.stats, meta=result.meta,
-                            csv_path=str(csv_path), json_path=str(json_path))
+    return replace(result, csv_path=str(csv_path), json_path=str(json_path))
 
 
 def evaluate_checks(stats: dict[str, Any], check: dict[str, float]) -> list[str]:

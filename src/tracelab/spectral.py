@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -78,19 +77,6 @@ class SpectralSummary:
     residual: float
     iterations: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "lambda2": self.lambda2,
-            "lambda_min": self.lambda_min,
-            "lambda_abs": self.lambda_abs,
-            "ratio": self.ratio if math.isfinite(self.ratio) else None,
-            "method": self.method,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
-
 
 @one_blas_thread()
 def _lanczos_extremes(g: Graph, d: int, tol: float):
@@ -147,14 +133,16 @@ def eigen_extremes(g: Graph, tol: float = 1e-8, method: str = "auto") -> Spectra
     """Second-largest and smallest adjacency eigenvalues of a regular graph.
 
     ``method`` is "dense" (LAPACK on the full matrix), "iterative"
-    (Lanczos), or "auto" (dense up to 512 vertices). ``tol`` bounds the
-    Lanczos residual only, relative to 2d.
+    (Lanczos), or "auto" (dense up to 512 vertices). ``tol`` must be > 0
+    and bounds the Lanczos residual only, relative to 2d.
     """
     d = g.regular_degree
     if d is None:
         raise GraphError("eigen_extremes needs a regular graph")
     if g.n < 2:
         raise GraphError("eigen_extremes needs at least two vertices")
+    if not tol > 0:
+        raise GraphError("tol must be > 0")
     if method == "auto":
         method = "dense" if g.n <= _DENSE_EIGEN_LIMIT else "iterative"
     if method == "dense":

@@ -28,8 +28,10 @@ AUX_STREAM = K.AUX_STREAM
 # Given a uint64 array it works elementwise.
 _mix64 = getattr(K._mix64, "py_func", K._mix64)
 
-# sample size for start pools on graphs too large to enumerate every start
+# sample size for start pools on graphs too large to enumerate every start,
+# and the largest graph whose pool is every vertex
 START_POOL_SAMPLE = 32
+_START_POOL_LIMIT = 200
 
 
 def _check_start(g: Graph, start: int) -> None:
@@ -70,13 +72,12 @@ def default_budget(n: int) -> int:
     return int(math.ceil(500.0 * n * max(1.0, math.log(max(n, 2)))))
 
 
-def start_pool(g: Graph, seed: int, limit: int = 200,
-               sample: int = START_POOL_SAMPLE) -> tuple[int, ...]:
-    """Deterministic pool of start vertices: everything when n <= limit,
+def start_pool(g: Graph, seed: int, sample: int = START_POOL_SAMPLE) -> tuple[int, ...]:
+    """Deterministic pool of start vertices: everything when n <= 200,
     otherwise a seeded sample without replacement (auxiliary stream)."""
     if sample < 1:
         raise GraphError("sample must be >= 1")
-    if g.n <= limit:
+    if g.n <= _START_POOL_LIMIT:
         return tuple(range(g.n))
     order = next(K.shuffles(g.n, seed, AUX_STREAM))
     return tuple(int(v) for v in order[:sample])

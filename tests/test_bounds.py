@@ -110,8 +110,6 @@ def test_bounds_report_bands():
     assert not (out.lower_in_band or out.upper_in_band)
     assert out.mixing_bound == pytest.approx(
         mixing_time_bound(10000, 100, 10.0, 0.01))
-    d = out.to_dict()
-    assert d["cover_upper"] == pytest.approx(out.cover_upper)
 
 
 def exact_cdf_fraction(n, p_num, p_den, t):

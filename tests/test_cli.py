@@ -291,3 +291,65 @@ def test_runtime_errors_exit_two(capsys, tmp_path):
                            "--out", str(tmp_path / "res"))
     assert code == 2
     assert "budget" in err.lower()
+
+
+CHECK_KEYS = {"kind", "c", "passed", "mode", "set_size", "checked", "exhaustive", "witness"}
+
+
+@pytest.mark.parametrize("argv, keys, values", [
+    (("spectral", "--family", "petersen"),
+     {"n", "d", "lambda2", "lambda_min", "lambda_abs", "ratio", "method", "residual",
+      "iterations"}, {"n": 10, "d": 3, "lambda_abs": 2.0}),
+    (("bounds", "--n", "1000", "--d", "16", "--lam", "4", "--xi", "0.01"),
+     {"n", "d", "lambda", "eps", "xi", "h_lower", "h_upper", "cover_lower", "cover_upper",
+      "mixing_bound", "convention", "lower_in_band", "upper_in_band"}, {"lambda": 4.0}),
+    (("mixing", "--family", "petersen", "--lam", "2"),
+     {"mode", "single_max_ratio", "pair_max_ratio", "singles_checked", "pairs_checked",
+      "violations", "slack", "passed"}, {"passed": True}),
+    (("mixing", "--family", "petersen", "--lam", "2", "--mode", "sampled:4"),
+     {"mode", "single_max_ratio", "pair_max_ratio", "singles_checked", "pairs_checked",
+      "violations", "slack", "passed"}, {"mode": "sampled"}),
+    (("hamilton", "certify", "--family", "cycle", "--n", "12", "--cert-c", "2"),
+     {"c", "certified", "expansion", "joinedness"}, {"certified": False}),
+    (("hamilton", "cycle", "--family", "petersen"),
+     {"status", "cycle", "method", "work"}, {"method": "exact"}),
+    (("hamilton", "cycle", "--family", "complete", "--n", "8", "--method", "posa"),
+     {"status", "cycle", "method", "work"}, {"status": "found"}),
+    (("hamilton", "tau", "--family", "complete", "--n", "8", "--walk-length", "200",
+      "--seed", "1"),
+     {"start", "length", "tau1", "tau_hc", "exact", "censored", "probes"}, {"exact": True}),
+    (("walk", "--family", "complete", "--n", "10", "--steps", "200", "--seed", "3"),
+     {"start", "length", "cover_step", "blanket_steps", "min_visits", "max_visits",
+      "min_visit_ratio"}, {"blanket_steps": {"0.1": 25}}),
+], ids=["spectral", "bounds", "mixing-exact", "mixing-sampled", "certify", "cycle-exact",
+        "cycle-posa", "tau", "walk"])
+def test_json_keys(capsys, argv, keys, values):
+    """The key sets each result subcommand prints, nested ones included."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    d = json.loads(out)
+    assert set(d) == keys
+    for name in ("expansion", "joinedness"):
+        if name in d:
+            assert set(d[name]) == CHECK_KEYS
+    for k, v in values.items():
+        assert d[k] == pytest.approx(v), k
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectral", "--input", "{tmp}/missing.txt"),
+    ("spectral", "--input", "{tmp}/latin1.txt"),
+    ("gen", "--family", "cycle", "--n", "5", "--output", "{tmp}"),
+    ("experiment", "--config", "{tmp}/cfg.json", "--out", "{tmp}/cfg.json/res"),
+    ("experiment", "--config", "{tmp}/latin1.txt"),
+], ids=["missing-input", "non-ascii-input", "output-is-a-directory", "out-under-a-file",
+        "non-utf8-config"])
+def test_unusable_files_exit_one(capsys, tmp_path, argv):
+    """A file that cannot be read or written ends in an error line, not a
+    traceback."""
+    (tmp_path / "latin1.txt").write_bytes(b"3 3\n0 1\n1 2\n2 0\n\xe9\n")
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "version": 1, "experiment": "cover", "graph": {"family": "complete", "n": 5},
+        "trials": 2, "seed": 0}))
+    code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 1 and out == "" and err.startswith("error:")

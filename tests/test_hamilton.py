@@ -120,8 +120,7 @@ def test_certify_counterexample():
     g = counterexample_expander(16, 2)
     cert = certify_expander(g, 2.0)
     assert cert.certified
-    d = cert.to_dict()
-    assert d["expansion"]["exhaustive"] and d["joinedness"]["exhaustive"]
+    assert cert.expansion.exhaustive and cert.joinedness.exhaustive
 
 
 def test_certificate_star_fails():

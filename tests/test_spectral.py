@@ -69,6 +69,15 @@ def test_eigen_disconnected_shows_no_gap():
     assert s.ratio == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan])
+def test_eigen_extremes_rejects_nonpositive_tol(method, tol):
+    """The dense path never reads tol, and a NaN tol would switch off the
+    Lanczos stopping test, so a tol that is not > 0 is refused up front."""
+    with pytest.raises(GraphError, match="tol must be > 0"):
+        eigen_extremes(petersen_graph(), tol=tol, method=method)
+
+
 def resistance_oracle(g, u, v):
     lap = g.laplacian_matrix()
     pinv = np.linalg.pinv(lap)
@@ -143,12 +152,6 @@ def test_empirical_mixing_time():
 def test_mixing_rejects_bipartite():
     with pytest.raises(GraphError):
         empirical_mixing_time(cycle_graph(8), 0.1)
-
-
-def test_spectral_summary_serializable():
-    d = eigen_extremes(petersen_graph()).to_dict()
-    assert d["n"] == 10 and d["d"] == 3
-    assert d["lambda_abs"] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("seed", [0, 2261692086460027444])
