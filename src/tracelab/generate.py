@@ -138,15 +138,18 @@ def _pairing_attempt(n: int, d: int, state: np.ndarray, max_rounds: int):
     for _ in range(max_rounds):
         K.shuffle_ints(stubs, state)
         pairs = stubs.reshape(-1, 2)
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
         keys = lo * n + hi
-        fresh = np.flatnonzero((lo != hi) & ~_is_taken(keys, taken))
+        # until a pair is kept, taken holds only its sentinel and nothing is taken
+        empty = taken.size == 1
+        fresh = np.flatnonzero(lo != hi if empty else (lo != hi) & ~_is_taken(keys, taken))
         # a key that repeats within the round pairs only at its first pair
         new_keys, first = _first_keys(keys[fresh])
         keep = np.zeros(len(pairs), dtype=bool)
         keep[fresh[first]] = True
-        taken = np.insert(taken, np.searchsorted(taken, new_keys), new_keys)
+        taken = (np.append(new_keys, n * n) if empty
+                 else np.insert(taken, np.searchsorted(taken, new_keys), new_keys))
         lows.append(lo[keep])
         highs.append(hi[keep])
         stubs = pairs[~keep].ravel()

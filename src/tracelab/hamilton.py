@@ -354,6 +354,10 @@ def hamiltonian_posa(g: Graph, seed: int, max_rotations: int | None = None,
     Defaults: 100 n rotations per restart, 50 restarts. A returned cycle is
     always verified before it leaves this function.
     """
+    if max_rotations is not None and max_rotations < 1:
+        raise GraphError("max_rotations must be >= 1")
+    if max_restarts < 0:
+        raise GraphError("max_restarts must be >= 0")
     n = g.n
     if _rules_out_cycle(g):
         return CycleResult(status="proven-absent", cycle=None, method="posa",
@@ -404,8 +408,7 @@ def _prefix_hamiltonian(trace: WalkTrace, upto: int, exact: bool, seed: int,
     g = trace_prefix_graph(trace, upto)
     if exact:
         return hamiltonian_exact(g).found
-    rot = None if budget is None else max(1, budget)
-    res = hamiltonian_posa(g, seed, max_rotations=rot,
+    res = hamiltonian_posa(g, seed, max_rotations=budget,
                            stream=K.AUX_STREAM + probe)
     return res.found
 
@@ -420,6 +423,8 @@ def tau_times(g: Graph, start: int, length: int, seed: int,
     rotation-extension search per probe; every positive probe is verified,
     so the reported value is a sound upper bound, flagged non-exact.
     """
+    if checker_budget is not None and checker_budget < 1:
+        raise GraphError("checker_budget must be >= 1")
     trace = simulate_walk(g, start, length, seed, stream=0)
     exact = g.n <= _DP_LIMIT
     if not trace.covered:

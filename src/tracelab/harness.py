@@ -227,6 +227,9 @@ class ExperimentConfig:
         if "sample_starts" in p:
             _expect(_int_field(p["sample_starts"], "params.sample_starts") >= 1,
                     "params.sample_starts must be >= 1")
+            _expect(p.get("worst_start", False), "params.sample_starts needs worst_start")
+        if p.get("worst_start"):
+            _expect(p.get("start") is None, "params.start cannot be set with worst_start")
         # integer params with their lower bounds; null keeps the default
         for key, low in _OPTIONAL_INTS.items():
             if p.get(key) is not None:

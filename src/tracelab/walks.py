@@ -405,33 +405,41 @@ def _cover_lanes(g: Graph, seed: int, lo: int, hi: int, budget: int,
     # a lane's offset into the flat (lane, vertex) first-visit array
     row = (lane * n).astype(g.indices.dtype)
     dtype = np.int32 if budget < 2**31 - 1 else np.int64
-    first = np.full((hi - lo) * n, np.iinfo(dtype).max, dtype=dtype)
+    unseen = np.iinfo(dtype).max
+    first = np.full((hi - lo) * n, unseen, dtype=dtype)
     first[row + start] = 0
     left = np.full(hi - lo, n - 1, dtype=np.int64)
     cur, done = start, 0
     while done < budget:
         path = _block_path(g, tables, state, floor, cur, budget - done)
         cur = path[-1].copy()
-        cells = np.add(path, row, out=path)
-        at = np.arange(done + 1, done + len(path) + 1, dtype=dtype)[:, None]
+        # the positions whose cell no lane had seen before this block, in
+        # step order; only these can hold a first visit
+        cells = np.add(path, row, out=path).ravel()
+        fresh = np.flatnonzero(first[cells] == unseen)
+        cells = cells[fresh]
+        at, owner = np.divmod(fresh, lane.size)
+        at = (at + (done + 1)).astype(dtype)
         done += len(path)
-        # a cell's first visit is its smallest step, repeats included
-        np.minimum.at(first, cells, np.broadcast_to(at, cells.shape))
-        new = first[cells]
-        np.equal(new, at, out=new)
-        np.cumsum(new, axis=0, out=new)
-        gained = new[-1]
-        covered = gained >= left
+        # a cell's first visit is its smallest step
+        np.minimum.at(first, cells, at)
+        firsts = first[cells] == at
+        at, owner = at[firsts], owner[firsts]
+        gained = np.bincount(owner, minlength=lane.size)
+        # gained never exceeds left, so a lane covers exactly when they are equal
+        covered = gained == left
         if np.count_nonzero(covered):
-            # a lane covers at the first row whose count reaches its left
-            steps[lane[covered]] = at[(new[:, covered] < left[covered]).sum(axis=0), 0]
+            # a lane covers at its last first visit in the block
+            last = np.zeros(lane.size, dtype=np.int64)
+            np.maximum.at(last, owner, at)
+            steps[lane[covered]] = last[covered]
             keep = ~covered
             lane, row, cur, left, gained, state = (lane[keep], row[keep], cur[keep],
                                                    left[keep], gained[keep], state[:, keep])
             if not lane.size:
                 break
         left -= gained
-        del path, cells, new, gained  # freed before the next block is drawn
+        del path  # freed before the next block is drawn
     return start, steps
 
 
@@ -577,6 +585,8 @@ def cover_time_empirical(g: Graph, trials: int, seed: int, worst_start: bool = F
     """
     if trials < 1:
         raise GraphError("trials must be >= 1")
+    if worst_start and start is not None:
+        raise GraphError("start cannot be set in worst-start mode")
     _require_connected(g)
     n = g.n
     if budget is None:

@@ -244,6 +244,27 @@ def test_cover_param_types_exit_one(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("params, name", [
+    ({"worst_start": True, "start": 3}, "start"),
+    ({"sample_starts": 5}, "sample_starts"),
+    ({"worst_start": False, "sample_starts": 5}, "sample_starts"),
+], ids=["start-with-worst-start", "sample-starts-alone", "sample-starts-without-worst-start"])
+def test_cover_params_it_would_ignore_exit_one(capsys, tmp_path, params, name):
+    """A cover param that its mode would ignore fails at parse; a null start
+    stays legal beside worst_start."""
+    path = tmp_path / "cover.json"
+    cfg = {"version": 1, "experiment": "cover", "trials": 2, "seed": 0,
+           "graph": {"family": "complete", "n": 20}}
+    path.write_text(json.dumps(dict(cfg, params={"worst_start": True, "start": None})))
+    code, _, _ = run_cli(capsys, "experiment", "--config", str(path),
+                         "--out", str(tmp_path / "res"))
+    assert code == 0
+    path.write_text(json.dumps(dict(cfg, params=params)))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(path),
+                             "--out", str(tmp_path / "res"))
+    assert code == 1 and out == "" and f"params.{name}" in err
+
+
+@pytest.mark.parametrize("params, name", [
     ({"n": 500, "d": 16, "lambdas": [20]}, "lambdas"),
     ({"n": 500, "d": 16, "lambdas": [0]}, "lambdas"),
     ({"n": 500, "d": 16, "ratios": [0]}, "ratios"),
@@ -352,4 +373,21 @@ def test_unusable_files_exit_one(capsys, tmp_path, argv):
         "version": 1, "experiment": "cover", "graph": {"family": "complete", "n": 5},
         "trials": 2, "seed": 0}))
     code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+TAU = ("hamilton", "tau", "--family", "random_regular", "--n", "64", "--d", "8",
+       "--graph-seed", "0", "--seed", "5", "--walk-length", "800")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cover", "--family", "complete", "--n", "20", "--trials", "2", "--seed", "1",
+     "--worst-start", "--start", "3"),
+    TAU + ("--checker-budget", "0"),
+    TAU + ("--checker-budget", "-5"),
+], ids=["cover-worst-start-with-start", "tau-checker-budget-0", "tau-checker-budget-negative"])
+def test_options_with_no_effect_or_no_search_exit_one(capsys, argv):
+    """A start that worst-start mode would ignore, or a checker budget that
+    leaves no search, ends in an error line instead of a result."""
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:")

@@ -209,6 +209,25 @@ def test_posa_budget_exhaustion():
     assert res.work["restarts"] == 2 and res.work["rotations"] > 0
 
 
+@pytest.mark.parametrize("budget", [{"max_rotations": 0}, {"max_rotations": -3},
+                                    {"max_restarts": -1}],
+                         ids=["rotations-0", "rotations-negative", "restarts-negative"])
+def test_posa_refuses_budgets_with_no_search(budget):
+    """A search with no rotations per restart, or fewer than no restarts,
+    cannot run; it is refused, not reported as budget-exhausted. No
+    restarts at all stays legal."""
+    with pytest.raises(GraphError):
+        hamiltonian_posa(complete_graph(8), 1, **budget)
+    res = hamiltonian_posa(complete_graph(8), 1, max_restarts=0)
+    assert res.status == "budget-exhausted" and res.work == {"rotations": 0, "restarts": 0}
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_tau_refuses_a_checker_budget_below_one(budget):
+    with pytest.raises(GraphError, match="checker_budget"):
+        tau_times(random_regular(64, 8, 0), 0, 800, 5, checker_budget=budget)
+
+
 @pytest.mark.parametrize("g", [
     Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5)]),
     Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),

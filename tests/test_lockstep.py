@@ -222,3 +222,58 @@ def test_general_step_loop_matches_the_regular_one(lockstep, monkeypatch):
         assert real(h)[3] is None
         lanes_vs_trials(h, 12, 0, 30)
         probes_vs_trials(h, 12, 0, 30, 0, h.n - 1, 200)
+
+
+def blocks_vs_trials(monkeypatch, g, seed, lanes):
+    """Lanes from fixed starts in 32-step blocks, held to their trials; each
+    lane's cover step, and the step of each vertex's first visit on its
+    walk path. Block b holds steps 32 b + 1 to 32 b + 32."""
+    monkeypatch.setattr(walks, "_BLOCK_CELLS", 1)
+    assert walks._block_steps(lanes, 10**9) == _twins._LANE_STEPS
+    starts = [unit % g.n for unit in range(lanes)]
+    steps = lanes_vs_trials(g, seed, 0, lanes, starts=starts).tolist()
+    paths = [walks._walk_path(g, K.stream_state(seed, unit), starts[unit], max(steps)).tolist()
+             for unit in range(lanes)]
+    firsts = []
+    for path in paths:
+        first = {}
+        for t, v in enumerate(path):
+            first.setdefault(v, t)
+        firsts.append(first)
+    assert steps == [max(first.values()) for first in firsts]
+    return steps, paths, firsts
+
+
+def block_of(step):
+    return (step - 1) // _twins._LANE_STEPS
+
+
+def test_covering_block_revisits_its_own_first_visits(lockstep, monkeypatch):
+    """A lane that walks back onto a vertex first seen earlier in the same
+    block gains that vertex once: the revisit is no first visit."""
+    steps, paths, firsts = blocks_vs_trials(monkeypatch, complete_graph(12), 13, 40)
+    revisits = 0
+    for c, path, first in zip(steps, paths, firsts):
+        begin = _twins._LANE_STEPS * block_of(c) + 1
+        revisits += any(begin <= first[path[t]] < t for t in range(begin, c))
+    assert revisits > 0
+
+
+def test_lanes_cover_at_different_rows_of_one_block(lockstep, monkeypatch):
+    """Each covering lane takes the step of its own last first visit."""
+    steps, _, _ = blocks_vs_trials(monkeypatch, complete_graph(12), 14, 40)
+    rows = {}
+    for c in steps:
+        rows.setdefault(block_of(c), set()).add(c)
+    assert max(len(r) for r in rows.values()) >= 3
+
+
+def test_block_with_no_new_vertex(lockstep, monkeypatch):
+    """A block that brings a lane no vertex leaves its count of vertices
+    left as it was."""
+    steps, _, firsts = blocks_vs_trials(monkeypatch, counterexample_expander(30, 3), 15, 20)
+    empty = 0
+    for c, first in zip(steps, firsts):
+        gained = {block_of(t) for t in first.values() if t > 0}
+        empty += len(set(range(block_of(c))) - gained)
+    assert empty > 0

@@ -105,6 +105,16 @@ def test_cover_time_empirical_worst_start():
     assert cs.worst_mean >= cs.mean
 
 
+def test_cover_time_empirical_refuses_a_start_in_worst_start_mode():
+    """Worst-start mode walks from every pool vertex, so a fixed start would
+    be ignored; a null start is the default."""
+    g = complete_graph(12)
+    with pytest.raises(GraphError, match="worst-start"):
+        cover_time_empirical(g, 4, 1, worst_start=True, start=3)
+    cs = cover_time_empirical(g, 4, 1, worst_start=True, start=None)
+    assert cs.pool == tuple(range(12))
+
+
 def test_cover_censoring():
     g = cycle_graph(64)
     cs = cover_time_empirical(g, 10, 0, budget=10)
