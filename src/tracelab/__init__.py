@@ -24,9 +24,8 @@ from .bounds import (BoundsReport, BudgetError, MixingCheckReport,
                      harmonic, hitting_time_tetali, hitting_times_to,
                      matthews_bounds, mixing_time_bound, paley_zygmund_lower,
                      resistance_bounds, visit_lower_bound)
-from .walks import (BlanketResult, CoverStats, CoverSummary,
-                    ReturnProbeResult, SegmentedVisitReport,
-                    StrongCoverEstimate, WalkTrace, blanket_time,
+from .walks import (CoverStats, CoverSummary, ReturnProbeResult,
+                    SegmentedVisitReport, StrongCoverEstimate, WalkTrace,
                     blanket_trial, cover_stats, cover_time_empirical,
                     cover_trial, default_budget, return_probe,
                     return_probe_trial, segmented_visit_experiment,

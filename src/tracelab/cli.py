@@ -250,8 +250,7 @@ def _run(args) -> int:
             return 0
         if args.ham_command == "cycle":
             if args.method == "exact":
-                kw = {} if args.budget is None else {"budget": args.budget}
-                res = hamiltonian_exact(g, **kw)
+                res = hamiltonian_exact(g, budget=args.budget)
             else:
                 res = hamiltonian_posa(g, args.seed, max_rotations=args.budget)
             _dump(res)

@@ -90,13 +90,15 @@ class GenSpec:
             raise GraphError(f"unknown graph keys: {sorted(unknown)}")
         if "family" not in data or "n" not in data:
             raise GraphError("graph needs 'family' and 'n'")
-        return GenSpec(
-            family=data["family"],
-            n=int(data["n"]),
-            d=None if data.get("d") is None else int(data["d"]),
-            c=None if data.get("c") is None else int(data["c"]),
-            seed=None if data.get("seed") is None else int(data["seed"]),
-        )
+        # the harness's rule for integer fields; only n may not be null
+        for key in ("n", "d", "c", "seed"):
+            value = data.get(key)
+            if value is None and key != "n":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise GraphError(f"{key} must be an integer")
+        return GenSpec(family=data["family"], n=data["n"], d=data.get("d"),
+                       c=data.get("c"), seed=data.get("seed"))
 
 
 # ---------------------------------------------------------------------------

@@ -155,12 +155,13 @@ class ExpanderCertificate:
 
 
 def certify_expander(g: Graph, c: float, mode: str = "exact", samples: int = 64,
-                     seed: int = 0, budget: int = 2_000_000) -> ExpanderCertificate:
-    """Run both expander checks at parameter ``c``."""
+                     seed: int = 0) -> ExpanderCertificate:
+    """Run both expander checks at parameter ``c``, each within its default
+    exact-mode budget."""
     return ExpanderCertificate(
         c=c,
-        expansion=check_expansion(g, c, mode=mode, samples=samples, seed=seed, budget=budget),
-        joinedness=check_joinedness(g, c, mode=mode, samples=samples, seed=seed, budget=budget),
+        expansion=check_expansion(g, c, mode=mode, samples=samples, seed=seed),
+        joinedness=check_joinedness(g, c, mode=mode, samples=samples, seed=seed),
     )
 
 
@@ -321,27 +322,30 @@ def _exact_branch_bound(g: Graph, budget: int) -> CycleResult:
 
 
 def hamiltonian_exact(g: Graph, method: str = "auto",
-                      budget: int = 20_000_000) -> CycleResult:
+                      budget: int | None = None) -> CycleResult:
     """Decide Hamiltonicity exactly.
 
     Subset DP (complete and budget-free) up to 24 vertices; beyond that a
     pruned depth-first search that may return "budget-exhausted" instead of
-    an answer. The Hamilton certificate (n < 3, a vertex of degree < 2, or
-    a disconnected graph) short-circuits to proven-absent.
+    an answer, after ``budget`` expansions (20,000,000 when None). A budget
+    for the DP is refused. The Hamilton certificate (n < 3, a vertex of
+    degree < 2, or a disconnected graph) short-circuits to proven-absent.
     """
     n = g.n
+    if method == "auto":
+        method = "dp" if n <= _DP_LIMIT else "bb"
+    if method not in ("dp", "bb"):
+        raise GraphError(f"unknown method {method!r}")
+    if method == "dp" and budget is not None:
+        raise GraphError("the subset dp takes no budget")
     if _rules_out_cycle(g):
         return CycleResult(status="proven-absent", cycle=None, method="exact",
                            work={"masks": 0})
-    if method == "auto":
-        method = "dp" if n <= _DP_LIMIT else "bb"
-    if method == "dp":
-        if n > _DP_LIMIT:
-            raise BudgetError(f"subset dp capped at n = {_DP_LIMIT}")
-        return _exact_dp(g)
     if method == "bb":
-        return _exact_branch_bound(g, budget)
-    raise GraphError(f"unknown method {method!r}")
+        return _exact_branch_bound(g, 20_000_000 if budget is None else budget)
+    if n > _DP_LIMIT:
+        raise BudgetError(f"subset dp capped at n = {_DP_LIMIT}")
+    return _exact_dp(g)
 
 
 def hamiltonian_posa(g: Graph, seed: int, max_rotations: int | None = None,
@@ -420,13 +424,18 @@ def tau_times(g: Graph, start: int, length: int, seed: int,
     The Hamiltonicity threshold is located by bisection over the recorded
     first-traversal steps (trace prefixes only grow, so the exact predicate
     is monotone). Graphs beyond the exact-checker cap fall back to the
-    rotation-extension search per probe; every positive probe is verified,
-    so the reported value is a sound upper bound, flagged non-exact.
+    rotation-extension search per probe, ``checker_budget`` rotations a
+    restart; every positive probe is verified, so the reported value is a
+    sound upper bound, flagged non-exact. The exact checker has no budget,
+    so ``checker_budget`` is refused at n <= 24.
     """
+    exact = g.n <= _DP_LIMIT
     if checker_budget is not None and checker_budget < 1:
         raise GraphError("checker_budget must be >= 1")
+    if checker_budget is not None and exact:
+        raise GraphError(f"checker_budget applies only above n = {_DP_LIMIT}, "
+                         "where the probes run posa")
     trace = simulate_walk(g, start, length, seed, stream=0)
-    exact = g.n <= _DP_LIMIT
     if not trace.covered:
         return TauResult(start=start, length=length, tau1=None, tau_hc=None,
                          exact=exact, censored=True, probes=0)

@@ -11,13 +11,14 @@ seeds and semantics come from the config file alone.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -28,7 +29,7 @@ from ._accel import blas_info
 from .bounds import cover_time_spectral_bound, exact_binomial_ci
 from .generate import GenSpec
 from .graphs import Graph, GraphError
-from .hamilton import certify_expander, hamiltonian_posa, tau_times
+from .hamilton import _DP_LIMIT, certify_expander, hamiltonian_posa, tau_times
 from .walks import (START_POOL_SAMPLE, blanket_trial, cover_trials,
                     probe_trials, rank_starts, simulate_walk, start_pool,
                     step_moments, trace_graph, visits_trial)
@@ -116,10 +117,14 @@ class ExperimentConfig:
     check: dict[str, float]
     output_dir: str | None
     output_prefix: str | None
+    source: dict[str, Any] = field(repr=False, compare=False)
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "ExperimentConfig":
         _expect(isinstance(data, dict), "config must be a JSON object")
+        # a private copy: to_dict returns it, and later edits to the
+        # caller's dict cannot reach the run
+        data = copy.deepcopy(data)
         unknown = set(data) - _TOP_KEYS
         _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
         _expect(data.get("version") == CONFIG_VERSION,
@@ -185,7 +190,7 @@ class ExperimentConfig:
             experiment=experiment, seed=seed, trials=trials, graph=graph,
             walk_steps=walk_steps, walk_multiplier=walk_multiplier,
             params=dict(params), check={k: float(v) for k, v in check.items()},
-            output_dir=out_dir, output_prefix=out_prefix,
+            output_dir=out_dir, output_prefix=out_prefix, source=data,
         )
         cfg._validate_params()
         return cfg
@@ -235,6 +240,9 @@ class ExperimentConfig:
             if p.get(key) is not None:
                 value = _int_field(p[key], f"params.{key}")
                 _expect(low is None or value >= low, f"params.{key} must be >= {low}")
+        if exp == "tau" and p.get("checker_budget") is not None:
+            _expect(spec.n > _DP_LIMIT, f"params.checker_budget applies only above "
+                    f"n = {_DP_LIMIT}, where tau probes run posa")
         if "c" in p:
             _expect(_num_field(p["c"], "params.c") > 0, "params.c must be > 0")
         if exp == "blanket":
@@ -264,30 +272,8 @@ class ExperimentConfig:
         return None
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "version": CONFIG_VERSION,
-            "experiment": self.experiment,
-            "seed": self.seed,
-        }
-        if self.experiment != "bounds_sweep":
-            out["graph"] = dict(self.graph or {})
-            out["trials"] = self.trials
-        if self.walk_steps is not None:
-            out["walk"] = {"steps": self.walk_steps}
-        elif self.walk_multiplier is not None:
-            out["walk"] = {"multiplier": self.walk_multiplier}
-        if self.params:
-            out["params"] = dict(self.params)
-        if self.check:
-            out["check"] = dict(self.check)
-        output = {}
-        if self.output_dir is not None:
-            output["dir"] = self.output_dir
-        if self.output_prefix is not None:
-            output["prefix"] = self.output_prefix
-        if output:
-            out["output"] = output
-        return out
+        """The config as it was given to ``from_dict``."""
+        return copy.deepcopy(self.source)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -555,13 +541,15 @@ class ExperimentResult:
 
 
 def _workers_from_env(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    raw = os.environ.get("TRACELAB_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"TRACELAB_WORKERS must be an integer, got {raw!r}")
+    if workers is None:
+        raw = os.environ.get("TRACELAB_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigError(f"TRACELAB_WORKERS must be an integer, got {raw!r}")
+    _expect(workers >= 1,
+            f"workers (--workers or TRACELAB_WORKERS) must be >= 1, got {workers}")
+    return workers
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:

@@ -215,6 +215,8 @@ def resistance_matrix(g: Graph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _TV_LIMIT = 5000
+# steps empirical_mixing_time iterates from a start before it gives up
+_MIXING_STEPS = 4096
 
 
 def tv_distance_profile(g: Graph, start: int, t_max: int) -> np.ndarray:
@@ -244,7 +246,7 @@ def tv_distance_profile(g: Graph, start: int, t_max: int) -> np.ndarray:
     return out
 
 
-def empirical_mixing_time(g: Graph, xi: float, max_steps: int = 4096) -> int:
+def empirical_mixing_time(g: Graph, xi: float) -> int:
     """Smallest t where the worst-start TV distance to uniform drops below xi.
 
     Exact distribution iteration from every start. Bipartite graphs never
@@ -270,8 +272,8 @@ def empirical_mixing_time(g: Graph, xi: float, max_steps: int = 4096) -> int:
         p[start] = 1.0
         t = 0
         while 0.5 * float(np.abs(p - target).sum()) >= xi:
-            if t >= max_steps:
-                raise SpectralError(f"no mixing below xi={xi} within {max_steps} steps")
+            if t >= _MIXING_STEPS:
+                raise SpectralError(f"no mixing below xi={xi} within {_MIXING_STEPS} steps")
             p = _neighbor_sums(g, p) / d
             t += 1
         if t > worst:

@@ -573,8 +573,7 @@ def rank_starts(starts: Sequence[int], steps: Sequence[int]
 
 
 def cover_time_empirical(g: Graph, trials: int, seed: int, worst_start: bool = False,
-                         start: int | None = None, budget: int | None = None,
-                         sample_starts: int = START_POOL_SAMPLE) -> CoverSummary:
+                         start: int | None = None, budget: int | None = None) -> CoverSummary:
     """Monte Carlo cover times.
 
     Default mode: ``trials`` walks, each from its own uniformly drawn start
@@ -592,7 +591,7 @@ def cover_time_empirical(g: Graph, trials: int, seed: int, worst_start: bool = F
     if budget is None:
         budget = default_budget(n)
     if worst_start:
-        pool = start_pool(g, seed, sample=sample_starts)
+        pool = start_pool(g, seed)
         units = len(pool) * trials
     else:
         pool = ()
@@ -635,10 +634,10 @@ class StrongCoverEstimate:
     ci_level: float
 
 
-def strong_cover_estimate(g: Graph, length: int, trials: int, seed: int,
-                          ci_level: float = 0.95) -> StrongCoverEstimate:
+def strong_cover_estimate(g: Graph, length: int, trials: int, seed: int
+                          ) -> StrongCoverEstimate:
     """Estimate P(walk of ``length`` steps covers G), round-robin over the
-    start pool, one stream per trial."""
+    start pool, one stream per trial, with a 95% exact binomial interval."""
     if trials < 1:
         raise GraphError("trials must be >= 1")
     _check_length(length)
@@ -647,51 +646,17 @@ def strong_cover_estimate(g: Graph, length: int, trials: int, seed: int,
     starts, steps = cover_trials(g, seed, 0, trials, length,
                                  [pool[trial % len(pool)] for trial in range(trials)])
     covered = int((steps >= 0).sum())
-    lo, hi = exact_binomial_ci(covered, trials, ci_level)
+    lo, hi = exact_binomial_ci(covered, trials, 0.95)
     return StrongCoverEstimate(
         length=length, trials=trials, seed=seed, pool=pool,
         starts=starts, cover_steps=steps, covered=covered,
-        fraction=covered / trials, ci_low=lo, ci_high=hi, ci_level=ci_level,
+        fraction=covered / trials, ci_low=lo, ci_high=hi, ci_level=0.95,
     )
 
 
 # ---------------------------------------------------------------------------
-# blanket times
+# one walk's statistics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlanketResult:
-    delta: float
-    start: int
-    cover_step: int | None
-    blanket_step: int | None
-    censored: bool
-    steps: int
-
-
-def blanket_time(g: Graph, start: int, delta: float, seed: int,
-                 budget: int | None = None, stream: int = 0) -> BlanketResult:
-    """First step t >= cover time with min_v visits >= delta * t / n.
-
-    This is ``blanket_trial`` from ``start`` on stream ``(seed, stream)``.
-    The condition is checked at every step from the cover step on, so the
-    returned step is exact for this sample path; ``censored`` means the
-    budget ran out first, and ``steps`` is the blanket step or the budget.
-    """
-    # argument errors take precedence over a disconnected graph
-    _check_delta(delta)
-    _check_start(g, start)
-    _require_connected(g)
-    if budget is None:
-        budget = 4 * default_budget(g.n)
-    _, cover, blanket = blanket_trial(g, seed, stream, delta, budget=budget, start=start)
-    return BlanketResult(
-        delta=delta, start=start,
-        cover_step=None if cover < 0 else cover,
-        blanket_step=None if blanket < 0 else blanket,
-        censored=blanket < 0, steps=budget if blanket < 0 else blanket,
-    )
 
 
 @dataclass(frozen=True)
@@ -709,11 +674,12 @@ class CoverStats:
 
 
 def cover_stats(g: Graph, start: int, length: int, seed: int,
-                deltas: Sequence[float] = (0.1,), stream: int = 0) -> CoverStats:
+                deltas: Sequence[float] = (0.1,)) -> CoverStats:
     """Walk ``length`` steps once and report cover/blanket/visit statistics.
 
-    The same stream is replayed once per delta (the kernel tracks a single
-    blanket threshold per pass), so all numbers describe one sample path.
+    Stream ``(seed, 0)`` is replayed once per delta (the kernel tracks a
+    single blanket threshold per pass), so all numbers describe one sample
+    path.
     """
     _check_start(g, start)
     _check_length(length)
@@ -721,7 +687,7 @@ def cover_stats(g: Graph, start: int, length: int, seed: int,
         _check_delta(delta)
     blankets: dict[float, int | None] = {}
     for delta in deltas or (0.0,):
-        cover, blanket, _, visits = _walk(g, K.stream_state(seed, stream), start,
+        cover, blanket, _, visits = _walk(g, K.stream_state(seed, 0), start,
                                           length, delta, 0)
         blankets[float(delta)] = None if blanket < 0 else blanket
     mn = int(visits.min())
@@ -804,7 +770,7 @@ class SegmentedVisitReport:
 
 
 def segmented_visit_experiment(g: Graph, length: int, c: float, trials: int,
-                               seed: int, ci_level: float = 0.95) -> SegmentedVisitReport:
+                               seed: int) -> SegmentedVisitReport:
     """Cut walks into burn-in + window segments and count window visits.
 
     Window T = round(n / sqrt(c)) and burn-in ceil(10 ln n); positions
@@ -845,12 +811,12 @@ def segmented_visit_experiment(g: Graph, length: int, c: float, trials: int,
         rho[trial] = (mn / logn) if mn > 0 else 0.0
     total_segments = nseg * trials
     total_hits = int(seg_hits.sum())
-    lo, hi = exact_binomial_ci(total_hits, total_segments, ci_level)
+    lo, hi = exact_binomial_ci(total_hits, total_segments, 0.95)
     return SegmentedVisitReport(
         length=length, trials=trials, seed=seed, c=c,
         window=window, burn_in=burn, segments_per_trial=nseg,
         total_segments=total_segments, total_hits=total_hits,
         hit_frequency=total_hits / total_segments,
-        ci_low=lo, ci_high=hi, ci_level=ci_level,
+        ci_low=lo, ci_high=hi, ci_level=0.95,
         starts=starts, targets=targets, segment_hits=seg_hits, rho_values=rho,
     )

@@ -47,8 +47,7 @@ out["lambda_min"] = repr(s.lambda_min)
 sv = tl.segmented_visit_experiment(g, 3000, 4.0, 10, 13)
 out["segment_hits"] = sv.segment_hits.tolist()
 
-bl = tl.blanket_time(g, 0, 0.1, 9)
-out["blanket"] = [bl.cover_step, bl.blanket_step]
+out["blanket"] = list(tl.blanket_trial(g, 9, 0, 0.1, start=0)[1:])
 
 # numba runs these per trial, the interpreted path as lockstep lanes
 cw = tl.cover_time_empirical(g, 3, 17, worst_start=True)

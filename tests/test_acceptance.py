@@ -43,7 +43,7 @@ def warmup():
     g = tl.random_regular(16, 4, 0)
     tl.simulate_walk(g, 0, 50, 0)
     tl.cover_trial(g, 0, 0, budget=200)
-    tl.blanket_time(g, 0, 0.1, 0, budget=2000)
+    tl.blanket_trial(g, 0, 0, 0.1, budget=2000, start=0)
     tl.return_probe(g, 0, 1, 4, 2, 0)
     tl.segmented_visit_experiment(g, 200, 4.0, 1, 0)
     tl.hamiltonian_posa(g, 0)

@@ -391,3 +391,53 @@ def test_options_with_no_effect_or_no_search_exit_one(capsys, argv):
     leaves no search, ends in an error line instead of a result."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("hamilton", "tau", "--family", "random_regular", "--n", "16", "--d", "4",
+     "--graph-seed", "1", "--walk-length", "800", "--seed", "2", "--checker-budget", "1"),
+    ("hamilton", "cycle", "--family", "petersen", "--method", "exact", "--budget", "1"),
+], ids=["tau-exact-checker-budget", "cycle-dp-budget"])
+def test_budgets_the_exact_path_ignores_exit_one(capsys, argv):
+    """At n <= 24 both commands run the subset dp, which has no budget, so a
+    budget would change nothing; it ends in an error line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_exact_cycle_passes_its_budget_to_branch_and_bound(capsys):
+    code, out, _ = run_cli(capsys, "hamilton", "cycle", "--family", "random_regular",
+                           "--n", "30", "--d", "4", "--graph-seed", "1",
+                           "--method", "exact", "--budget", "1")
+    assert code == 0
+    assert json.loads(out)["status"] == "budget-exhausted"
+
+
+@pytest.mark.parametrize("graph", [
+    {"family": "complete", "n": 12.7},
+    {"family": "random_regular", "n": 20, "d": "4", "seed": True},
+    {"family": "cycle", "n": "9"},
+], ids=["float-n", "text-d-bool-seed", "text-n"])
+def test_graph_fields_that_are_not_integers_exit_one(capsys, tmp_path, graph):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"version": 1, "experiment": "cover", "graph": graph,
+                                "trials": 2, "seed": 1}))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(path),
+                             "--out", str(tmp_path / "res"))
+    assert code == 1 and out == "" and err.startswith("error: graph:")
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("flag,env", [(("--workers", "0"), None), ((), "-3")],
+                         ids=["flag-0", "env-minus-3"])
+def test_worker_counts_below_one_exit_one(capsys, tmp_path, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("TRACELAB_WORKERS", env)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"version": 1, "experiment": "cover",
+                                "graph": {"family": "complete", "n": 5},
+                                "trials": 2, "seed": 1}))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(path),
+                             "--out", str(tmp_path / "res"), *flag)
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "must be >= 1" in err

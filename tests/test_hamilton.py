@@ -228,6 +228,26 @@ def test_tau_refuses_a_checker_budget_below_one(budget):
         tau_times(random_regular(64, 8, 0), 0, 800, 5, checker_budget=budget)
 
 
+def test_tau_refuses_a_checker_budget_on_the_exact_path():
+    """At n <= 24 every probe runs the subset dp, which has no budget."""
+    with pytest.raises(GraphError, match="checker_budget"):
+        tau_times(random_regular(16, 4, 1), 0, 800, 2, checker_budget=1)
+
+
+@pytest.mark.parametrize("method", ["auto", "dp"])
+def test_exact_refuses_a_budget_for_the_dp(method):
+    with pytest.raises(GraphError, match="budget"):
+        hamiltonian_exact(petersen_graph(), method=method, budget=1)
+    # the certificate does not answer first
+    with pytest.raises(GraphError, match="budget"):
+        hamiltonian_exact(path_graph(5), method=method, budget=1)
+
+
+def test_exact_refuses_an_unknown_method_before_the_certificate():
+    with pytest.raises(GraphError, match="unknown method"):
+        hamiltonian_exact(path_graph(5), method="bogus")
+
+
 @pytest.mark.parametrize("g", [
     Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5)]),
     Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),

@@ -117,6 +117,31 @@ def test_probe_and_search_params_rejected_at_parse(experiment, bad):
         ExperimentConfig.from_dict(dict(data, params={**data["params"], **bad}))
 
 
+def test_tau_checker_budget_refused_on_the_exact_path():
+    """tau graphs of n <= 24 are probed by the subset dp, which has no
+    budget; beyond that the budget caps each posa probe."""
+    def tau(n):
+        return cfg_with(experiment="tau", walk={"multiplier": 2.0},
+                        graph={"family": "random_regular", "n": n, "d": 4},
+                        params={"checker_budget": 5})
+    with pytest.raises(ConfigError, match="checker_budget"):
+        tau(24)
+    assert tau(26).params["checker_budget"] == 5
+
+
+def test_summary_echoes_the_config_as_given(tmp_path):
+    data = dict(BASE, graph=dict(BASE["graph"]), check={"max_mean": 6000},
+                params={"budget": 50000})
+    cfg = ExperimentConfig.from_dict(data)
+    given = json.loads(json.dumps(data))
+    data["graph"]["n"] = 12.5  # an edit after validation does not reach the config
+    assert cfg.graph == BASE["graph"]
+    res = write_result(run_experiment(cfg), out_dir=tmp_path)
+    summary = json.loads(Path(res.json_path).read_text())
+    assert summary["config"] == given
+    assert type(summary["config"]["check"]["max_mean"]) is int
+
+
 def test_null_params_keep_defaults():
     for exp, params, walk in [
         ("return_probe", {"horizon": 4, "u": None, "v": None, "c": 2.0}, None),

@@ -1,15 +1,13 @@
 """Walk invariants: visit accounting, cover/blanket ordering, stream
 reproducibility, and the per-trial primitives the harness builds on."""
 
-import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
 from tracelab import _kernels as K
-from tracelab import (GraphError, blanket_time, blanket_trial, complete_graph,
+from tracelab import (GraphError, blanket_trial, complete_graph,
                       counterexample_expander, cover_stats,
                       cover_time_empirical, cover_trial, cycle_graph,
                       default_budget, path_graph, random_regular,
@@ -128,8 +126,6 @@ def test_per_trial_walks_reject_negative_budget():
         cover_trial(g, 1, 0, -5)
     with pytest.raises(GraphError, match="budget must be >= 0"):
         blanket_trial(g, 1, 0, 0.1, budget=-5)
-    with pytest.raises(GraphError, match="budget must be >= 0"):
-        blanket_time(g, 0, 0.1, 1, budget=-5)
     assert cover_trial(g, 1, 0, 0, start=2) == (2, -1)
 
 
@@ -148,24 +144,18 @@ def test_blanket_after_cover():
     for unit in range(5):
         _, cover, blanket = blanket_trial(g, 9, unit, 0.1)
         assert cover >= 0 and blanket >= cover
-    res = blanket_time(g, 0, 0.1, 9)
-    assert not res.censored
-    assert res.blanket_step >= res.cover_step
 
 
-def test_blanket_result_is_json_ready():
+def test_blanket_trial_censored_by_its_budget():
+    """Ten steps cannot cover 24 vertices: cover and blanket steps are both
+    -1, as a censored harness row records them."""
     g = random_regular(24, 4, 2)
-    for budget in (None, 10):
-        res = blanket_time(g, 0, 0.1, 9, budget=budget)
-        assert res.censored is (budget == 10)
-        assert type(res.censored) is bool
-        json.dumps(dataclasses.asdict(res))
+    assert blanket_trial(g, 9, 0, 0.1, budget=10, start=0) == (0, -1, -1)
 
 
 def test_blanket_condition_holds_at_reported_step():
     g = complete_graph(9)
-    res = blanket_time(g, 0, 0.3, 5)
-    t = res.blanket_step
+    _, _, t = blanket_trial(g, 5, 0, 0.3, start=0)
     st = cover_stats(g, 0, t, 5, deltas=(0.3,))
     assert st.min_visits * g.n >= 0.3 * t
     assert st.blanket_steps[0.3] == t
@@ -173,8 +163,8 @@ def test_blanket_condition_holds_at_reported_step():
 
 def test_blanket_delta_monotone():
     g = random_regular(20, 4, 7)
-    lo = blanket_time(g, 0, 0.05, 3).blanket_step
-    hi = blanket_time(g, 0, 0.5, 3).blanket_step
+    lo = blanket_trial(g, 3, 0, 0.05, start=0)[2]
+    hi = blanket_trial(g, 3, 0, 0.5, start=0)[2]
     assert lo <= hi
 
 
