@@ -292,13 +292,13 @@ def _exact_branch_bound(g: Graph, budget: int) -> CycleResult:
     iters = [iter(adj[0])]
     expansions = 0
     while iters:
-        if expansions > budget:
-            return CycleResult(status="budget-exhausted", cycle=None,
-                               method="exact", work={"expansions": expansions})
         moved = False
         for w in iters[-1]:
             if (visited >> w) & 1:
                 continue
+            if expansions == budget:
+                return CycleResult(status="budget-exhausted", cycle=None,
+                                   method="exact", work={"expansions": expansions})
             expansions += 1
             if len(path) == n - 1:
                 if (nbrmask[w] & 1) and verify_cycle(g, path + [w]):
@@ -327,8 +327,8 @@ def hamiltonian_exact(g: Graph, method: str = "auto",
 
     Subset DP (complete and budget-free) up to 24 vertices; beyond that a
     pruned depth-first search that may return "budget-exhausted" instead of
-    an answer, after ``budget`` expansions (20,000,000 when None). A budget
-    for the DP is refused. The Hamilton certificate (n < 3, a vertex of
+    an answer, after exactly ``budget`` expansions (20,000,000 when None;
+    below 1 is refused). A budget for the DP is refused. The Hamilton certificate (n < 3, a vertex of
     degree < 2, or a disconnected graph) short-circuits to proven-absent.
     """
     n = g.n
@@ -338,6 +338,8 @@ def hamiltonian_exact(g: Graph, method: str = "auto",
         raise GraphError(f"unknown method {method!r}")
     if method == "dp" and budget is not None:
         raise GraphError("the subset dp takes no budget")
+    if budget is not None and budget < 1:
+        raise GraphError("budget must be >= 1")
     if _rules_out_cycle(g):
         return CycleResult(status="proven-absent", cycle=None, method="exact",
                            work={"masks": 0})

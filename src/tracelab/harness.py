@@ -37,10 +37,41 @@ from .walks import (START_POOL_SAMPLE, blanket_trial, cover_trials,
 # only through cover_trials and probe_trials
 from .walks import cover_trial, return_probe_trial  # noqa: F401
 
-EXPERIMENTS = (
-    "cover", "strong_cover", "blanket", "visits", "return_probe",
-    "trace_hamilton", "tau", "bounds_sweep", "counterexample",
-)
+
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: its CSV columns, the params it accepts, whether
+    it takes a walk block ("required", "optional" or "refused"), and whether
+    each trial builds its own graph from a derived seed."""
+
+    columns: list[str]
+    params: set[str]
+    walk: str = "refused"
+    graph_per_trial: bool = False
+
+
+_KINDS = {
+    "cover": _Kind(["trial", "start", "cover_step", "censored"],
+                   {"worst_start", "budget", "start", "sample_starts"}),
+    "strong_cover": _Kind(["trial", "start", "covered", "cover_step"], set(), walk="required"),
+    "blanket": _Kind(["trial", "start", "cover_step", "blanket_step", "censored"],
+                     {"delta", "budget", "start"}),
+    "visits": _Kind(["trial", "start", "covered", "min_visits", "rho"], {"start"},
+                    walk="required"),
+    "return_probe": _Kind(["trial", "hit"], {"u", "v", "horizon", "c"}, walk="optional"),
+    "trace_hamilton": _Kind(["trial", "graph_seed", "walk_seed", "covered", "found",
+                             "rotations", "restarts"], {"max_rotations", "max_restarts"},
+                            walk="required", graph_per_trial=True),
+    "tau": _Kind(["trial", "graph_seed", "walk_seed", "start", "tau1", "tau_hc", "exact",
+                  "censored"], {"start", "checker_budget"},
+                 walk="required", graph_per_trial=True),
+    "bounds_sweep": _Kind(["n", "d", "lambda", "eps", "h_lower", "h_upper", "cover_upper"],
+                          {"n", "d", "eps", "ratios", "lambdas"}),
+    "counterexample": _Kind(["trial", "start", "cover_step", "censored"],
+                            {"budget", "start", "cert_n", "cert_c"}),
+}
+EXPERIMENTS = tuple(_KINDS)
+COLUMNS = {name: kind.columns for name, kind in _KINDS.items()}
 
 CONFIG_VERSION = 1
 
@@ -48,38 +79,10 @@ _TOP_KEYS = {"version", "experiment", "graph", "trials", "seed", "walk",
              "params", "check", "output"}
 _WALK_KEYS = {"steps", "multiplier"}
 _OUTPUT_KEYS = {"dir", "prefix"}
-_PARAM_KEYS: dict[str, set[str]] = {
-    "cover": {"worst_start", "budget", "start", "sample_starts"},
-    "strong_cover": set(),
-    "blanket": {"delta", "budget", "start"},
-    "visits": {"start"},
-    "return_probe": {"u", "v", "horizon", "c"},
-    "trace_hamilton": {"max_rotations", "max_restarts"},
-    "tau": {"start", "checker_budget"},
-    "bounds_sweep": {"n", "d", "eps", "ratios", "lambdas"},
-    "counterexample": {"budget", "start", "cert_n", "cert_c"},
-}
 _OPTIONAL_INTS: dict[str, int | None] = {
     "budget": 0, "start": None, "u": None, "v": None, "horizon": 1,
     "max_rotations": 1, "max_restarts": 0, "checker_budget": 1,
     "cert_n": None, "cert_c": None,
-}
-_WALK_REQUIRED = {"strong_cover", "visits", "trace_hamilton", "tau"}
-_WALK_ALLOWED = _WALK_REQUIRED | {"return_probe"}
-_DERIVED_GRAPH_SEED = {"trace_hamilton", "tau"}
-
-COLUMNS: dict[str, list[str]] = {
-    "cover": ["trial", "start", "cover_step", "censored"],
-    "strong_cover": ["trial", "start", "covered", "cover_step"],
-    "blanket": ["trial", "start", "cover_step", "blanket_step", "censored"],
-    "visits": ["trial", "start", "covered", "min_visits", "rho"],
-    "return_probe": ["trial", "hit"],
-    "trace_hamilton": ["trial", "graph_seed", "walk_seed", "covered", "found",
-                       "rotations", "restarts"],
-    "tau": ["trial", "graph_seed", "walk_seed", "start", "tau1", "tau_hc",
-            "exact", "censored"],
-    "bounds_sweep": ["n", "d", "lambda", "eps", "h_lower", "h_upper", "cover_upper"],
-    "counterexample": ["trial", "start", "cover_step", "censored"],
 }
 
 
@@ -133,6 +136,7 @@ class ExperimentConfig:
         _expect(experiment in EXPERIMENTS,
                 f"experiment must be one of {', '.join(EXPERIMENTS)}")
         seed = _int_field(data.get("seed"), "seed")
+        kind = _KINDS[experiment]
 
         graph = data.get("graph")
         if experiment == "bounds_sweep":
@@ -148,8 +152,7 @@ class ExperimentConfig:
         walk_steps = None
         walk_multiplier = None
         if walk is not None:
-            _expect(experiment in _WALK_ALLOWED,
-                    f"{experiment} does not take a walk block")
+            _expect(kind.walk != "refused", f"{experiment} does not take a walk block")
             _expect(isinstance(walk, dict), "walk must be an object")
             unknown = set(walk) - _WALK_KEYS
             _expect(not unknown, f"unknown walk keys: {sorted(unknown)}")
@@ -160,13 +163,12 @@ class ExperimentConfig:
             else:
                 walk_multiplier = _num_field(walk["multiplier"], "walk.multiplier")
                 _expect(walk_multiplier > 0, "walk.multiplier must be > 0")
-        elif experiment in _WALK_REQUIRED:
+        elif kind.walk == "required":
             raise ConfigError(f"{experiment} needs a walk block")
 
         params = data.get("params", {})
         _expect(isinstance(params, dict), "params must be an object")
-        allowed = _PARAM_KEYS[experiment]
-        unknown = set(params) - allowed
+        unknown = set(params) - kind.params
         _expect(not unknown, f"unknown params for {experiment}: {sorted(unknown)}")
 
         check = data.get("check", {})
@@ -220,11 +222,12 @@ class ExperimentConfig:
                 else:
                     _expect(0.0 < x < d, "params.lambdas entries must lie in (0, d)")
             return
+        per_trial = _KINDS[exp].graph_per_trial
         try:
-            spec = self.graph_spec(seed_override=0 if exp in _DERIVED_GRAPH_SEED else None)
+            spec = self.graph_spec(seed_override=0 if per_trial else None)
         except GraphError as exc:
             raise ConfigError(f"graph: {exc}") from exc
-        if exp in _DERIVED_GRAPH_SEED:
+        if per_trial:
             _expect("seed" not in self.graph,
                     f"{exp} derives graph seeds per trial; drop graph.seed")
         if "worst_start" in p:
@@ -250,11 +253,14 @@ class ExperimentConfig:
             delta = _num_field(p["delta"], "params.delta")
             _expect(0.0 < delta < 1.0, "params.delta must be in (0, 1)")
         if exp == "return_probe":
-            if p.get("horizon") is None and self.walk_steps is None and self.walk_multiplier is None:
-                _expect("c" in p, "return_probe needs horizon, a walk block, or c")
+            horizon = _probe_horizon(self, spec.n)
+            _expect(horizon is not None, "return_probe needs horizon, a walk block, or c")
+            _expect(horizon >= 1, f"return_probe horizon (from walk.steps or params.c) "
+                    f"is 0 on n = {spec.n}")
         if exp == "counterexample":
             _expect(spec.family == "counterexample",
                     "counterexample experiment needs the counterexample family")
+            _cert_spec(self)
 
     def graph_spec(self, seed_override: int | None = None) -> GenSpec:
         if self.graph is None:
@@ -306,37 +312,44 @@ def _derived_seeds(seed: int, unit: int, n: int) -> tuple[int, int, int]:
     return gseed, wseed, start
 
 
-def _run_pool(cfg: ExperimentConfig, g: Graph | None) -> tuple[int, ...] | None:
-    """Start pool shared by the run's units: worst-start cover walks from
-    every pool vertex, strong_cover cycles through the pool."""
-    if cfg.experiment == "cover" and cfg.params.get("worst_start"):
-        return start_pool(g, cfg.seed,
-                          sample=cfg.params.get("sample_starts", START_POOL_SAMPLE))
-    if cfg.experiment == "strong_cover":
-        return start_pool(g, cfg.seed)
-    return None
-
-
-def _unit_count(cfg: ExperimentConfig, pool: tuple[int, ...] | None) -> int:
-    if cfg.experiment == "bounds_sweep":
-        grid = cfg.params.get("ratios") or cfg.params.get("lambdas")
-        return len(grid)
-    if cfg.experiment == "cover" and pool is not None:
-        return len(pool) * cfg.trials
-    return cfg.trials
-
-
-def _bounds_sweep_row(cfg: ExperimentConfig, unit: int) -> list:
+def _probe_horizon(cfg: ExperimentConfig, n: int) -> int | None:
+    """``params.horizon``, else the walk length, else round(n / sqrt(c));
+    None when the config gives none of them."""
     p = cfg.params
-    n = int(p["n"])
-    d = int(p["d"])
-    eps = float(p.get("eps", 0.1))
-    if "ratios" in p:
-        lam = d / float(p["ratios"][unit])
-    else:
-        lam = float(p["lambdas"][unit])
-    sb = cover_time_spectral_bound(n, d, lam, eps)
-    return [n, d, lam, eps, sb.h_lower, sb.h_upper, sb.cover_upper]
+    if p.get("horizon") is not None:
+        return p["horizon"]
+    length = cfg.resolve_length(n)
+    if length is None and "c" in p:
+        return int(round(n / math.sqrt(float(p["c"]))))
+    return length
+
+
+def _cert_spec(cfg: ExperimentConfig) -> GenSpec:
+    """The counterexample certificate's graph. ``cert_n`` defaults to
+    min(n, 16), where the exact joinedness sweep stays under its pair
+    budget, and ``cert_c`` to the graph's c."""
+    n = _param(cfg.params, "cert_n", min(int(cfg.graph["n"]), 16))
+    c = _param(cfg.params, "cert_c", int(cfg.graph["c"]))
+    try:
+        return GenSpec(family="counterexample", n=n, c=c)
+    except GraphError as exc:
+        raise ConfigError(f"params.cert_n/params.cert_c: the certificate graph "
+                          f"(n = {n}, c = {c}) is invalid: {exc}") from exc
+
+
+def _plan(cfg: ExperimentConfig, g: Graph | None) -> tuple[tuple[int, ...] | None, int]:
+    """The run's shared start pool and its unit count: worst-start cover
+    walks ``trials`` times from every pool vertex, strong_cover cycles
+    through the pool."""
+    p = cfg.params
+    if cfg.experiment == "bounds_sweep":
+        return None, len(p.get("ratios") or p.get("lambdas"))
+    if cfg.experiment == "cover" and p.get("worst_start"):
+        pool = start_pool(g, cfg.seed, sample=p.get("sample_starts", START_POOL_SAMPLE))
+        return pool, len(pool) * cfg.trials
+    if cfg.experiment == "strong_cover":
+        return start_pool(g, cfg.seed), cfg.trials
+    return None, cfg.trials
 
 
 def _unit_row(cfg: ExperimentConfig, g: Graph | None,
@@ -344,7 +357,10 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None,
     exp = cfg.experiment
     p = cfg.params
     if exp == "bounds_sweep":
-        return _bounds_sweep_row(cfg, unit)
+        n, d, eps = int(p["n"]), int(p["d"]), float(p.get("eps", 0.1))
+        lam = d / float(p["ratios"][unit]) if "ratios" in p else float(p["lambdas"][unit])
+        sb = cover_time_spectral_bound(n, d, lam, eps)
+        return [n, d, lam, eps, sb.h_lower, sb.h_upper, sb.cover_upper]
 
     if exp == "blanket":
         delta = float(p["delta"])
@@ -359,9 +375,8 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None,
             g, cfg.seed, unit, length, start=p.get("start"))
         return [unit, v, int(covered), min_visits, rho]
 
-    if exp not in _DERIVED_GRAPH_SEED:
-        raise ConfigError(f"unhandled experiment {exp}")
-    # a fresh graph per trial; parsing rejected a fixed graph.seed
+    # trace_hamilton and tau: a fresh graph per trial; parsing rejected a
+    # fixed graph.seed
     gseed, wseed, start = _derived_seeds(cfg.seed, unit, int(cfg.graph["n"]))
     graph = cfg.graph_spec(seed_override=gseed).build()
     length = cfg.resolve_length(graph.n)
@@ -369,12 +384,8 @@ def _unit_row(cfg: ExperimentConfig, g: Graph | None,
         trace = simulate_walk(graph, start, length, wseed, stream=0)
         if not trace.covered:
             return [unit, gseed, wseed, 0, 0, 0, 0]
-        tg = trace_graph(trace)
-        res = hamiltonian_posa(
-            tg, wseed,
-            max_rotations=p.get("max_rotations"),
-            max_restarts=_param(p, "max_restarts", 50),
-            stream=1)
+        res = hamiltonian_posa(trace_graph(trace), wseed, max_rotations=p.get("max_rotations"),
+                               max_restarts=_param(p, "max_restarts", 50), stream=1)
         return [unit, gseed, wseed, 1, int(res.found),
                 res.work["rotations"], res.work["restarts"]]
     start = _param(p, "start", start)
@@ -409,18 +420,6 @@ def _cover_rows(cfg: ExperimentConfig, g: Graph, pool: tuple[int, ...] | None,
     return rows
 
 
-def _probe_rows(cfg: ExperimentConfig, g: Graph, lo: int, hi: int) -> list[list]:
-    p = cfg.params
-    horizon = p.get("horizon")
-    if horizon is None:
-        horizon = cfg.resolve_length(g.n)
-    if horizon is None:
-        horizon = int(round(g.n / math.sqrt(float(p["c"]))))
-    hits = probe_trials(g, cfg.seed, lo, hi, _param(p, "u", 0), _param(p, "v", 1),
-                        int(horizon))
-    return [[unit, hit] for unit, hit in zip(range(lo, hi), hits.tolist())]
-
-
 def _row_range(cfg: ExperimentConfig, g: Graph | None, pool: tuple[int, ...] | None,
                lo: int, hi: int) -> list[list]:
     """Rows of units ``lo..hi-1``. Cover-style and return-probe units run as
@@ -428,7 +427,10 @@ def _row_range(cfg: ExperimentConfig, g: Graph | None, pool: tuple[int, ...] | N
     if cfg.experiment in ("cover", "counterexample", "strong_cover"):
         return _cover_rows(cfg, g, pool, lo, hi)
     if cfg.experiment == "return_probe":
-        return _probe_rows(cfg, g, lo, hi)
+        p = cfg.params
+        hits = probe_trials(g, cfg.seed, lo, hi, _param(p, "u", 0), _param(p, "v", 1),
+                            _probe_horizon(cfg, g.n))
+        return [[unit, hit] for unit, hit in zip(range(lo, hi), hits.tolist())]
     return [_unit_row(cfg, g, pool, unit) for unit in range(lo, hi)]
 
 
@@ -437,90 +439,71 @@ def _row_range(cfg: ExperimentConfig, g: Graph | None, pool: tuple[int, ...] | N
 # ---------------------------------------------------------------------------
 
 
-def _col(rows: list[list], columns: list[str], name: str) -> list:
-    i = columns.index(name)
-    return [row[i] for row in rows]
+def _rate(out: dict[str, Any], keys: tuple, count: int, n: int,
+          level: float | None = None) -> None:
+    """Write ``count`` under ``keys[0]`` (unless it is None), ``count / n``
+    under ``keys[1]`` (NaN without rows) and, given a ``level``, the exact
+    binomial interval under ``keys[2]`` and ``keys[3]``."""
+    if keys[0] is not None:
+        out[keys[0]] = count
+    out[keys[1]] = count / n if n else math.nan
+    if level is not None and n:
+        out[keys[2]], out[keys[3]] = exact_binomial_ci(count, n, level)
 
 
 def summarize(experiment: str, rows: list[list]) -> dict[str, Any]:
     """Aggregate statistics recomputable from the per-trial rows alone."""
-    columns = COLUMNS[experiment]
-    out: dict[str, Any] = {"rows": len(rows)}
+    col = {name: [row[i] for row in rows] for i, name in enumerate(COLUMNS[experiment])}
+    n = len(rows)
+    out: dict[str, Any] = {"rows": n}
     if experiment in ("cover", "counterexample"):
-        steps = [s for s in _col(rows, columns, "cover_step") if s is not None]
-        censored = sum(_col(rows, columns, "censored"))
-        out["censored"] = censored
-        out["censored_rate"] = censored / len(rows) if rows else math.nan
+        _rate(out, ("censored", "censored_rate"), sum(col["censored"]), n)
+        steps = [s for s in col["cover_step"] if s is not None]
         if steps:
             out["mean"], out["stderr"], out["min"], out["max"] = step_moments(steps)
         if rows:
             _, worst, worst_mean = rank_starts(
-                _col(rows, columns, "start"),
-                [-1 if s is None else s for s in _col(rows, columns, "cover_step")])
+                col["start"], [-1 if s is None else s for s in col["cover_step"]])
             out["worst_start"] = worst
             # null when the worst start never covered, so a max_ check fails
             out["worst_start_mean"] = None if math.isnan(worst_mean) else worst_mean
     elif experiment == "strong_cover":
-        covered = sum(_col(rows, columns, "covered"))
-        out["covered"] = covered
-        out["fraction"] = covered / len(rows) if rows else math.nan
-        if rows:
-            lo, hi = exact_binomial_ci(covered, len(rows), 0.95)
-            out["ci_low"], out["ci_high"] = lo, hi
+        _rate(out, ("covered", "fraction", "ci_low", "ci_high"), sum(col["covered"]), n, 0.95)
     elif experiment == "blanket":
-        blankets = [b for b in _col(rows, columns, "blanket_step") if b is not None]
-        covers = [c for c in _col(rows, columns, "cover_step") if c is not None]
-        out["censored"] = sum(_col(rows, columns, "censored"))
+        blankets = [b for b in col["blanket_step"] if b is not None]
+        covers = [c for c in col["cover_step"] if c is not None]
+        out["censored"] = sum(col["censored"])
         if blankets:
             out["blanket_mean"] = float(np.mean(blankets))
             out["blanket_max"] = int(max(blankets))
         if covers:
             out["cover_mean"] = float(np.mean(covers))
     elif experiment == "visits":
-        covered = sum(_col(rows, columns, "covered"))
-        rho = np.asarray(_col(rows, columns, "rho"), dtype=np.float64)
-        out["covered"] = covered
-        out["covered_fraction"] = covered / len(rows) if rows else math.nan
+        _rate(out, ("covered", "covered_fraction"), sum(col["covered"]), n)
         if rows:
+            rho = np.asarray(col["rho"], dtype=np.float64)
             out["rho_mean"] = float(rho.mean())
             out["rho_min"] = float(rho.min())
-            q = np.percentile(rho, [25.0, 50.0, 75.0])
-            out["rho_quartiles"] = [float(x) for x in q]
-            out["min_visits_mean"] = float(np.mean(_col(rows, columns, "min_visits")))
+            out["rho_quartiles"] = [float(x) for x in np.percentile(rho, [25.0, 50.0, 75.0])]
+            out["min_visits_mean"] = float(np.mean(col["min_visits"]))
     elif experiment == "return_probe":
-        hits = sum(_col(rows, columns, "hit"))
-        out["hits"] = hits
-        out["estimate"] = hits / len(rows) if rows else math.nan
-        if rows:
-            lo, hi = exact_binomial_ci(hits, len(rows), 0.99)
-            out["ci99_low"], out["ci99_high"] = lo, hi
+        _rate(out, ("hits", "estimate", "ci99_low", "ci99_high"), sum(col["hit"]), n, 0.99)
     elif experiment == "trace_hamilton":
-        covered = sum(_col(rows, columns, "covered"))
-        found = sum(_col(rows, columns, "found"))
-        out["covered"] = covered
-        out["found"] = found
-        out["covered_fraction"] = covered / len(rows) if rows else math.nan
-        out["found_fraction"] = found / len(rows) if rows else math.nan
-        if rows:
-            lo, hi = exact_binomial_ci(found, len(rows), 0.95)
-            out["ci_low"], out["ci_high"] = lo, hi
+        _rate(out, ("covered", "covered_fraction"), sum(col["covered"]), n)
+        _rate(out, ("found", "found_fraction", "ci_low", "ci_high"), sum(col["found"]), n, 0.95)
     elif experiment == "tau":
-        out["censored"] = sum(_col(rows, columns, "censored"))
-        gaps = [(h - t) for t, h in zip(_col(rows, columns, "tau1"),
-                                        _col(rows, columns, "tau_hc"))
+        out["censored"] = sum(col["censored"])
+        gaps = [h - t for t, h in zip(col["tau1"], col["tau_hc"])
                 if t is not None and h is not None]
         if gaps:
             out["gap_mean"] = float(np.mean(gaps))
             out["gap_min"] = int(min(gaps))
             out["gap_max"] = int(max(gaps))
-            t1 = [t for t in _col(rows, columns, "tau1") if t is not None]
-            th = [h for h in _col(rows, columns, "tau_hc") if h is not None]
+            t1 = [t for t in col["tau1"] if t is not None]
+            th = [h for h in col["tau_hc"] if h is not None]
             out["tau1_mean"] = float(np.mean(t1))
             out["tau_hc_mean"] = float(np.mean(th))
-        out["exact_fraction"] = (sum(_col(rows, columns, "exact")) / len(rows)
-                                 if rows else math.nan)
-    elif experiment == "bounds_sweep":
-        pass
+        _rate(out, (None, "exact_fraction"), sum(col["exact"]), n)
     return out
 
 
@@ -560,11 +543,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     """
     t0 = time.perf_counter()
     workers = _workers_from_env(workers)
+    # the certificate first, so that its budget failure costs no trials
+    cert = {}
+    if cfg.experiment == "counterexample":
+        spec = _cert_spec(cfg)
+        res = certify_expander(spec.build(), float(spec.c), mode="exact")
+        cert = {"cert_n": spec.n, "cert_c": spec.c, "cert_expansion": res.expansion.passed,
+                "cert_joinedness": res.joinedness.passed, "certified": res.certified}
     g = None
-    if cfg.experiment != "bounds_sweep" and cfg.experiment not in _DERIVED_GRAPH_SEED:
+    if cfg.graph is not None and not _KINDS[cfg.experiment].graph_per_trial:
         g = cfg.graph_spec().build()
-    pool = _run_pool(cfg, g)
-    units = _unit_count(cfg, pool)
+    pool, units = _plan(cfg, g)
     if workers <= 1 or units <= 1:
         rows = _row_range(cfg, g, pool, 0, units)
     else:
@@ -579,29 +568,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
                                      [s[0] for s in spans], [s[1] for s in spans]):
                 rows.extend(part)
     stats = summarize(cfg.experiment, rows)
-    if cfg.experiment == "counterexample":
-        stats.update(_counterexample_cert(cfg))
+    stats.update(cert)
     meta = {"wall_clock_s": time.perf_counter() - t0, "workers": workers,
             "blas": blas_info()}
     return ExperimentResult(config=cfg, columns=COLUMNS[cfg.experiment], rows=rows,
                             stats=stats, meta=meta, csv_path=None, json_path=None)
-
-
-def _counterexample_cert(cfg: ExperimentConfig) -> dict[str, Any]:
-    c = int(cfg.graph["c"])
-    # the exact joinedness sweep is the binding cost: n = 16 keeps every
-    # c >= 1 under the pair budget
-    cert_n = _param(cfg.params, "cert_n", min(int(cfg.graph["n"]), 16))
-    cert_c = _param(cfg.params, "cert_c", c)
-    spec = GenSpec(family="counterexample", n=cert_n, c=cert_c)
-    cert = certify_expander(spec.build(), float(cert_c), mode="exact")
-    return {
-        "cert_n": cert_n,
-        "cert_c": cert_c,
-        "cert_expansion": cert.expansion.passed,
-        "cert_joinedness": cert.joinedness.passed,
-        "certified": cert.certified,
-    }
 
 
 # ---------------------------------------------------------------------------

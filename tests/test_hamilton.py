@@ -355,3 +355,20 @@ def test_verify_cycle_rejects_every_kind_of_non_cycle():
     # a Hamilton path whose closing edge is missing
     assert not verify_cycle(path_graph(6), [0, 1, 2, 3, 4, 5])
     assert not verify_cycle(Graph.from_edges(4, []), [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("budget", [-5, 0])
+def test_branch_and_bound_refuses_budgets_below_one(budget):
+    """A search allowed no expansion cannot answer; it is refused, as posa
+    refuses max_rotations below one."""
+    with pytest.raises(GraphError):
+        hamiltonian_exact(random_regular(30, 4, 1), method="bb", budget=budget)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 50])
+def test_branch_and_bound_keeps_its_budget(budget):
+    """An exhausted search reports exactly its budget: it stops before the
+    expansion that would pass it, even inside one node's children."""
+    res = hamiltonian_exact(random_regular(40, 3, 2), method="bb", budget=budget)
+    assert res.status == "budget-exhausted"
+    assert res.work == {"expansions": budget}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tracelab import BudgetError
 from tracelab import cover_time_empirical, cycle_graph, generate, harness
 from tracelab.harness import (COLUMNS, ConfigError, ExperimentConfig,
                               evaluate_checks, load_config, rows_to_csv,
@@ -377,3 +378,110 @@ def test_load_config(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
 
+
+
+def counterexample_cfg(graph_c=2, **params):
+    return ExperimentConfig.from_dict({
+        "version": 1, "experiment": "counterexample",
+        "graph": {"family": "counterexample", "n": 30, "c": graph_c},
+        "trials": 2, "seed": 1, "params": params,
+    })
+
+
+@pytest.mark.parametrize("graph_c, params", [(7, {}), (2, {"cert_n": 3}), (2, {"cert_c": 0})],
+                         ids=["default-cert-c-too-large", "cert-n-3", "cert-c-0"])
+def test_certificate_params_checked_at_parse(graph_c, params):
+    """The certificate graph (cert_n defaults to min(n, 16), cert_c to c) is
+    checked with the config: c = 7 is valid at n = 30 but not at the
+    certificate's n = 16."""
+    with pytest.raises(ConfigError, match="params.cert_n/params.cert_c"):
+        counterexample_cfg(graph_c, **params)
+
+
+def test_certificate_runs_before_the_trials(monkeypatch):
+    """A certificate over its pair budget fails before any trial runs."""
+    calls = []
+    original = harness.cover_trials
+    monkeypatch.setattr(harness, "cover_trials",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    cfg = ExperimentConfig.from_dict({
+        "version": 1, "experiment": "counterexample",
+        "graph": {"family": "counterexample", "n": 60, "c": 2},
+        "trials": 1, "seed": 0, "params": {"cert_n": 40},
+    })
+    with pytest.raises(BudgetError):
+        run_experiment(cfg, workers=1)
+    assert calls == []
+
+
+def test_return_probe_horizon_from_c_checked_at_parse():
+    """round(10 / sqrt(1e6)) is 0: no probe could run."""
+    with pytest.raises(ConfigError, match="params.c"):
+        cfg_with(experiment="return_probe", graph={"family": "complete", "n": 10},
+                 params={"c": 1e6})
+    assert cfg_with(experiment="return_probe", graph={"family": "complete", "n": 10},
+                    params={"c": 25.0}).params == {"c": 25.0}
+
+
+TRACE = {"experiment": "trace_hamilton",
+         "graph": {"family": "random_regular", "n": 16, "d": 4},
+         "trials": 8, "walk": {"multiplier": 4.0}}
+STRONG = {"experiment": "strong_cover",
+          "graph": {"family": "random_regular", "n": 32, "d": 4, "seed": 1},
+          "trials": 20, "walk": {"multiplier": 3.0}}
+
+
+@pytest.mark.parametrize("target, raw", [
+    ("_unit_row", TRACE), ("start_pool", STRONG), ("simulate_walk", TRACE),
+    ("trace_graph", TRACE), ("hamiltonian_posa", TRACE), ("exact_binomial_ci", STRONG),
+], ids=lambda x: x if isinstance(x, str) else x["experiment"])
+def test_harness_calls_traced_targets_through_its_attributes(monkeypatch, target, raw):
+    """The benchmark's tracer wraps these names on the harness module; a
+    call that bypassed the attribute would leave its spans at zero."""
+    calls = []
+    original = getattr(harness, target)
+    monkeypatch.setattr(harness, target,
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    run_experiment(ExperimentConfig.from_dict({"version": 1, "seed": 9, **raw}), workers=1)
+    assert calls
+
+
+COVER_KEYS = {"rows", "censored", "censored_rate", "mean", "stderr", "min", "max",
+              "worst_start", "worst_start_mean"}
+
+
+@pytest.mark.parametrize("raw, keys", [
+    ({"experiment": "cover", "graph": {"family": "complete", "n": 12}, "trials": 20},
+     COVER_KEYS),
+    ({"experiment": "cover", "graph": {"family": "random_regular", "n": 16, "d": 4, "seed": 1},
+      "trials": 2, "params": {"worst_start": True}}, COVER_KEYS),
+    (STRONG, {"rows", "covered", "fraction", "ci_low", "ci_high"}),
+    ({"experiment": "blanket", "graph": {"family": "complete", "n": 10},
+      "trials": 10, "params": {"delta": 0.1}},
+     {"rows", "censored", "blanket_mean", "blanket_max", "cover_mean"}),
+    ({"experiment": "visits", "graph": {"family": "random_regular", "n": 32, "d": 4, "seed": 1},
+      "trials": 15, "walk": {"steps": 600}},
+     {"rows", "covered", "covered_fraction", "rho_mean", "rho_min", "rho_quartiles",
+      "min_visits_mean"}),
+    ({"experiment": "return_probe", "graph": {"family": "complete", "n": 10},
+      "trials": 50, "params": {"horizon": 4}},
+     {"rows", "hits", "estimate", "ci99_low", "ci99_high"}),
+    (TRACE, {"rows", "covered", "found", "covered_fraction", "found_fraction",
+             "ci_low", "ci_high"}),
+    ({"experiment": "tau", "graph": {"family": "random_regular", "n": 14, "d": 4},
+      "trials": 5, "walk": {"multiplier": 6.0}},
+     {"rows", "censored", "gap_mean", "gap_min", "gap_max", "tau1_mean", "tau_hc_mean",
+      "exact_fraction"}),
+    ({"experiment": "bounds_sweep", "params": {"n": 500, "d": 16, "ratios": [2.0, 4.0, 8.0]}},
+     {"rows"}),
+    ({"experiment": "counterexample", "graph": {"family": "counterexample", "n": 30, "c": 2},
+      "trials": 5},
+     COVER_KEYS | {"cert_n", "cert_c", "cert_expansion", "cert_joinedness", "certified"}),
+], ids=["cover", "cover-worst-start", "strong_cover", "blanket", "visits", "return_probe",
+        "trace_hamilton", "tau", "bounds_sweep", "counterexample"])
+def test_summary_key_sets(raw, keys):
+    """Each experiment's summary has exactly these fields on the
+    determinism configs."""
+    res = run_experiment(ExperimentConfig.from_dict({"version": 1, "seed": 9, **raw}),
+                         workers=1)
+    assert set(res.stats) == keys
