@@ -24,19 +24,19 @@ from .bounds import (BoundsReport, BudgetError, MixingCheckReport,
                      harmonic, hitting_time_tetali, hitting_times_to,
                      matthews_bounds, mixing_time_bound, paley_zygmund_lower,
                      resistance_bounds, visit_lower_bound)
-from .walks import (CoverStats, CoverSummary, ReturnProbeResult,
-                    SegmentedVisitReport, StrongCoverEstimate, WalkTrace,
-                    blanket_trial, cover_stats, cover_time_empirical,
-                    cover_trial, default_budget, return_probe,
+from .walks import (CoverStats, SegmentedVisitReport, WalkTrace,
+                    blanket_trial, cover_stats, cover_trial, default_budget,
                     return_probe_trial, segmented_visit_experiment,
-                    simulate_walk, start_pool, strong_cover_estimate,
-                    trace_graph, trace_prefix_graph, visits_trial)
+                    simulate_walk, start_pool, trace_graph,
+                    trace_prefix_graph, visits_trial)
 from .hamilton import (CycleResult, ExpanderCertificate, ExpanderCheck,
                        HamiltonError, TauResult, certify_expander,
                        check_expansion, check_joinedness, hamiltonian_exact,
                        hamiltonian_posa, tau_times, verify_cycle)
-from .harness import (ConfigError, ExperimentConfig, ExperimentResult,
-                      evaluate_checks, load_config, run_experiment,
+from .harness import (ConfigError, CoverSummary, ExperimentConfig,
+                      ExperimentResult, ReturnProbeResult, StrongCoverEstimate,
+                      cover_time_empirical, evaluate_checks, load_config,
+                      return_probe, run_experiment, strong_cover_estimate,
                       summarize, write_result)
 
 __version__ = "0.1.0"

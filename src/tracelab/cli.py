@@ -23,10 +23,10 @@ from .generate import FAMILIES, GenSpec, GenerationError
 from .graphs import Graph, GraphError, read_edge_file, write_edge_file, format_edge_text
 from .hamilton import HamiltonError, certify_expander, hamiltonian_exact, \
     hamiltonian_posa, tau_times
-from .harness import ConfigError, evaluate_checks, load_config, run_experiment, \
-    write_result
+from .harness import ConfigError, cover_time_empirical, evaluate_checks, load_config, \
+    run_experiment, write_result
 from .spectral import SpectralError, eigen_extremes
-from .walks import cover_stats, cover_time_empirical
+from .walks import cover_stats
 
 
 class _Parser(argparse.ArgumentParser):

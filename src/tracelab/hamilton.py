@@ -151,7 +151,7 @@ class ExpanderCertificate:
 
     @property
     def certified(self) -> bool:
-        return self.expansion.passed and self.joinedness.passed
+        return all(c.passed and c.exhaustive for c in (self.expansion, self.joinedness))
 
 
 def certify_expander(g: Graph, c: float, mode: str = "exact", samples: int = 64,

@@ -1,5 +1,5 @@
 """Experiment harness: versioned JSON configs, deterministic per-trial rows,
-CSV/JSON persistence and threshold checks.
+CSV/JSON persistence, threshold checks, and estimators that run it in memory.
 
 Reproducibility contract: row i of an experiment depends only on the config
 (seed included) and i, never on worker count or row order. Trials use RNG
@@ -20,7 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .bounds import cover_time_spectral_bound, exact_binomial_ci
 from .generate import GenSpec
 from .graphs import Graph, GraphError
 from .hamilton import _DP_LIMIT, certify_expander, hamiltonian_posa, tau_times
-from .walks import (START_POOL_SAMPLE, blanket_trial, cover_trials,
-                    probe_trials, rank_starts, simulate_walk, start_pool,
-                    step_moments, trace_graph, visits_trial)
+from .walks import (START_POOL_SAMPLE, _check_length, _require_connected,
+                    blanket_trial, cover_trials, default_budget, probe_trials,
+                    simulate_walk, start_pool, trace_graph, visits_trial)
 # perfbench/tracing.py patches these names here; the harness reaches them
 # only through cover_trials and probe_trials
 from .walks import cover_trial, return_probe_trial  # noqa: F401
@@ -80,7 +80,7 @@ _TOP_KEYS = {"version", "experiment", "graph", "trials", "seed", "walk",
 _WALK_KEYS = {"steps", "multiplier"}
 _OUTPUT_KEYS = {"dir", "prefix"}
 _OPTIONAL_INTS: dict[str, int | None] = {
-    "budget": 0, "start": None, "u": None, "v": None, "horizon": 1,
+    "budget": 0, "start": 0, "u": 0, "v": 0, "horizon": 1,
     "max_rotations": 1, "max_restarts": 0, "checker_budget": 1,
     "cert_n": None, "cert_c": None,
 }
@@ -238,11 +238,13 @@ class ExperimentConfig:
             _expect(p.get("worst_start", False), "params.sample_starts needs worst_start")
         if p.get("worst_start"):
             _expect(p.get("start") is None, "params.start cannot be set with worst_start")
-        # integer params with their lower bounds; null keeps the default
+        # integer params with their lower bounds, vertices below n; null keeps the default
         for key, low in _OPTIONAL_INTS.items():
             if p.get(key) is not None:
                 value = _int_field(p[key], f"params.{key}")
                 _expect(low is None or value >= low, f"params.{key} must be >= {low}")
+                _expect(key not in ("start", "u", "v") or value < spec.n,
+                        f"params.{key} must be < n = {spec.n}")
         if exp == "tau" and p.get("checker_budget") is not None:
             _expect(spec.n > _DP_LIMIT, f"params.checker_budget applies only above "
                     f"n = {_DP_LIMIT}, where tau probes run posa")
@@ -451,6 +453,26 @@ def _rate(out: dict[str, Any], keys: tuple, count: int, n: int,
         out[keys[2]], out[keys[3]] = exact_binomial_ci(count, n, level)
 
 
+def _rank_starts(starts: Sequence[int], steps: Sequence[int]
+                 ) -> tuple[dict[int, float], int, float]:
+    """Mean cover step per start vertex, and the worst start.
+
+    ``steps`` holds -1 for a censored walk. A start none of whose walks
+    covered has mean NaN and ranks worst; ties go to the larger vertex id.
+    Returns ``(per_start_mean, worst_start, worst_mean)``.
+    """
+    by_start: dict[int, list[int]] = {}
+    for v, step in zip(starts, steps):
+        by_start.setdefault(int(v), []).append(int(step))
+    per_start = {}
+    for v, block in by_start.items():
+        good = [step for step in block if step >= 0]
+        per_start[v] = float(np.mean(good)) if good else math.nan
+    worst = max(per_start, key=lambda v: (
+        math.inf if math.isnan(per_start[v]) else per_start[v], v))
+    return per_start, worst, per_start[worst]
+
+
 def summarize(experiment: str, rows: list[list]) -> dict[str, Any]:
     """Aggregate statistics recomputable from the per-trial rows alone."""
     col = {name: [row[i] for row in rows] for i, name in enumerate(COLUMNS[experiment])}
@@ -458,11 +480,14 @@ def summarize(experiment: str, rows: list[list]) -> dict[str, Any]:
     out: dict[str, Any] = {"rows": n}
     if experiment in ("cover", "counterexample"):
         _rate(out, ("censored", "censored_rate"), sum(col["censored"]), n)
-        steps = [s for s in col["cover_step"] if s is not None]
-        if steps:
-            out["mean"], out["stderr"], out["min"], out["max"] = step_moments(steps)
+        steps = np.asarray([s for s in col["cover_step"] if s is not None], dtype=np.float64)
+        if steps.size:
+            out["mean"] = float(steps.mean())
+            out["stderr"] = (float(steps.std(ddof=1) / math.sqrt(steps.size))
+                             if steps.size > 1 else 0.0)
+            out["min"], out["max"] = int(steps.min()), int(steps.max())
         if rows:
-            _, worst, worst_mean = rank_starts(
+            _, worst, worst_mean = _rank_starts(
                 col["start"], [-1 if s is None else s for s in col["cover_step"]])
             out["worst_start"] = worst
             # null when the worst start never covered, so a max_ check fails
@@ -505,6 +530,142 @@ def summarize(experiment: str, rows: list[list]) -> dict[str, Any]:
             out["tau_hc_mean"] = float(np.mean(th))
         _rate(out, (None, "exact_fraction"), sum(col["exact"]), n)
     return out
+
+
+# ---------------------------------------------------------------------------
+# estimators: one experiment's plan, rows and summary on the caller's graph
+# ---------------------------------------------------------------------------
+
+
+def _estimate(g: Graph, experiment: str, trials: int, seed: int, walk_steps: int | None = None,
+              **params) -> tuple[tuple[int, ...] | None, dict[str, np.ndarray], dict[str, Any]]:
+    """Run ``experiment`` on ``g`` in memory at one worker: the plan's start
+    pool, the rows as int64 columns by name (null cells -1), the summary."""
+    if trials < 1:
+        raise GraphError("trials must be >= 1")
+    cfg = ExperimentConfig(experiment=experiment, seed=seed, trials=trials, graph=None,
+                           walk_steps=walk_steps, walk_multiplier=None, params=params,
+                           check={}, output_dir=None, output_prefix=None, source={})
+    pool, units = _plan(cfg, g)
+    rows = _row_range(cfg, g, pool, 0, units)
+    col = {name: np.array([-1 if row[i] is None else row[i] for row in rows], dtype=np.int64)
+           for i, name in enumerate(COLUMNS[experiment])}
+    return pool, col, summarize(experiment, rows)
+
+
+@dataclass(frozen=True)
+class CoverSummary:
+    """Per-trial cover steps plus the usual aggregates.
+
+    ``cover_steps`` holds -1 for censored trials (budget hit first); the
+    aggregates ignore those but ``censored`` counts them. In worst-start
+    mode the trials field is per start, rows are ordered pool-major, and
+    the worst (largest) per-start mean is reported alongside its vertex.
+    """
+
+    trials: int
+    budget: int
+    seed: int
+    worst_start_mode: bool
+    pool: tuple[int, ...]
+    starts: np.ndarray
+    cover_steps: np.ndarray
+    censored: int
+    mean: float
+    stderr: float
+    smallest: int
+    largest: int
+    per_start_mean: dict[int, float] | None
+    worst_start: int | None
+    worst_mean: float | None
+
+
+def cover_time_empirical(g: Graph, trials: int, seed: int, worst_start: bool = False,
+                         start: int | None = None, budget: int | None = None) -> CoverSummary:
+    """Monte Carlo cover times: the ``cover`` experiment on ``g``.
+
+    Default mode: ``trials`` walks, each from its own uniformly drawn start
+    (or the fixed ``start`` if given), trial i on stream ``(seed, i)``.
+    Worst-start mode: ``trials`` walks from every pool vertex; the pool is
+    every vertex up to n = 200 and a 32-vertex seeded sample beyond; walk
+    for pool slot j, repeat k runs on stream ``(seed, j * trials + k)``.
+    """
+    if worst_start and start is not None:
+        raise GraphError("start cannot be set in worst-start mode")
+    _require_connected(g)
+    if budget is None:
+        budget = default_budget(g.n)
+    pool, col, stats = _estimate(g, "cover", trials, seed, worst_start=worst_start,
+                                 start=start, budget=budget)
+    starts, steps = col["start"], col["cover_step"]
+    per_start = worst_v = worst_mean = None
+    if worst_start:
+        per_start, worst_v, worst_mean = _rank_starts(starts, steps)
+    return CoverSummary(
+        trials=trials, budget=budget, seed=seed, worst_start_mode=worst_start,
+        pool=pool or (), starts=starts, cover_steps=steps, censored=stats["censored"],
+        mean=stats.get("mean", math.nan), stderr=stats.get("stderr", math.nan),
+        smallest=stats.get("min", -1), largest=stats.get("max", -1),
+        per_start_mean=per_start, worst_start=worst_v, worst_mean=worst_mean,
+    )
+
+
+@dataclass(frozen=True)
+class StrongCoverEstimate:
+    """Fraction of fixed-length walks that covered the whole graph."""
+
+    length: int
+    trials: int
+    seed: int
+    pool: tuple[int, ...]
+    starts: np.ndarray
+    cover_steps: np.ndarray
+    covered: int
+    fraction: float
+    ci_low: float
+    ci_high: float
+    ci_level: float
+
+
+def strong_cover_estimate(g: Graph, length: int, trials: int, seed: int
+                          ) -> StrongCoverEstimate:
+    """Estimate P(walk of ``length`` steps covers G): the ``strong_cover``
+    experiment on ``g``, round-robin over the start pool, one stream per
+    trial, with a 95% exact binomial interval."""
+    _check_length(length)
+    _require_connected(g)
+    pool, col, stats = _estimate(g, "strong_cover", trials, seed, walk_steps=length)
+    return StrongCoverEstimate(
+        length=length, trials=trials, seed=seed, pool=pool, starts=col["start"],
+        cover_steps=col["cover_step"], covered=stats["covered"], fraction=stats["fraction"],
+        ci_low=stats["ci_low"], ci_high=stats["ci_high"], ci_level=0.95,
+    )
+
+
+@dataclass(frozen=True)
+class ReturnProbeResult:
+    u: int
+    v: int
+    horizon: int
+    trials: int
+    hits: int
+    estimate: float
+    ci_low: float
+    ci_high: float
+    ci_level: float
+
+
+def return_probe(g: Graph, u: int, v: int, horizon: int, trials: int, seed: int,
+                 ci_level: float = 0.95) -> ReturnProbeResult:
+    """Fraction of ``horizon``-step walks from u that touch v, with an exact
+    binomial confidence interval: the ``return_probe`` experiment on ``g``.
+    Trial i runs on stream ``(seed, i)``."""
+    _, _, stats = _estimate(g, "return_probe", trials, seed, u=u, v=v, horizon=horizon)
+    lo, hi = exact_binomial_ci(stats["hits"], trials, ci_level)
+    return ReturnProbeResult(
+        u=u, v=v, horizon=horizon, trials=trials, hits=stats["hits"],
+        estimate=stats["estimate"], ci_low=lo, ci_high=hi, ci_level=ci_level,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -511,150 +511,6 @@ def probe_trials(g: Graph, seed: int, lo: int, hi: int, u: int, v: int,
 
 
 # ---------------------------------------------------------------------------
-# cover-time estimation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoverSummary:
-    """Per-trial cover steps plus the usual aggregates.
-
-    ``cover_steps`` holds -1 for censored trials (budget hit first); the
-    aggregates ignore those but ``censored`` counts them. In worst-start
-    mode the trials field is per start, rows are ordered pool-major, and
-    the worst (largest) per-start mean is reported alongside its vertex.
-    """
-
-    trials: int
-    budget: int
-    seed: int
-    worst_start_mode: bool
-    pool: tuple[int, ...]
-    starts: np.ndarray
-    cover_steps: np.ndarray
-    censored: int
-    mean: float
-    stderr: float
-    smallest: int
-    largest: int
-    per_start_mean: dict[int, float] | None
-    worst_start: int | None
-    worst_mean: float | None
-
-
-def step_moments(steps: Sequence[int]) -> tuple[float, float, int, int]:
-    """``(mean, stderr, min, max)`` of uncensored step counts; NaN means and
-    -1 extremes when there are none."""
-    arr = np.asarray(steps, dtype=np.float64)
-    if arr.size == 0:
-        return math.nan, math.nan, -1, -1
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return float(arr.mean()), stderr, int(arr.min()), int(arr.max())
-
-
-def rank_starts(starts: Sequence[int], steps: Sequence[int]
-                ) -> tuple[dict[int, float], int, float]:
-    """Mean cover step per start vertex, and the worst start.
-
-    ``steps`` holds -1 for a censored walk. A start none of whose walks
-    covered has mean NaN and ranks worst; ties go to the larger vertex id.
-    Returns ``(per_start_mean, worst_start, worst_mean)``.
-    """
-    by_start: dict[int, list[int]] = {}
-    for v, step in zip(starts, steps):
-        by_start.setdefault(int(v), []).append(int(step))
-    per_start = {}
-    for v, block in by_start.items():
-        good = [step for step in block if step >= 0]
-        per_start[v] = float(np.mean(good)) if good else math.nan
-    worst = max(per_start, key=lambda v: (
-        math.inf if math.isnan(per_start[v]) else per_start[v], v))
-    return per_start, worst, per_start[worst]
-
-
-def cover_time_empirical(g: Graph, trials: int, seed: int, worst_start: bool = False,
-                         start: int | None = None, budget: int | None = None) -> CoverSummary:
-    """Monte Carlo cover times.
-
-    Default mode: ``trials`` walks, each from its own uniformly drawn start
-    (or the fixed ``start`` if given), trial i on stream ``(seed, i)``.
-    Worst-start mode: ``trials`` walks from every pool vertex; the pool is
-    every vertex up to n = 200 and a 32-vertex seeded sample beyond; walk
-    for pool slot j, repeat k runs on stream ``(seed, j * trials + k)``.
-    """
-    if trials < 1:
-        raise GraphError("trials must be >= 1")
-    if worst_start and start is not None:
-        raise GraphError("start cannot be set in worst-start mode")
-    _require_connected(g)
-    n = g.n
-    if budget is None:
-        budget = default_budget(n)
-    if worst_start:
-        pool = start_pool(g, seed)
-        units = len(pool) * trials
-    else:
-        pool = ()
-        units = trials
-    if worst_start:
-        fixed = [pool[unit // trials] for unit in range(units)]
-    else:
-        fixed = None if start is None else [start] * units
-    starts, steps = cover_trials(g, seed, 0, units, budget, fixed)
-    uncensored = steps[steps >= 0]
-    mean, stderr, smallest, largest = step_moments(uncensored)
-    per_start = None
-    worst_v = None
-    worst_mean = None
-    if worst_start:
-        per_start, worst_v, worst_mean = rank_starts(starts, steps)
-    return CoverSummary(
-        trials=trials, budget=budget, seed=seed, worst_start_mode=worst_start,
-        pool=pool, starts=starts, cover_steps=steps,
-        censored=int((steps < 0).sum()), mean=mean, stderr=stderr,
-        smallest=smallest, largest=largest, per_start_mean=per_start,
-        worst_start=worst_v, worst_mean=worst_mean,
-    )
-
-
-@dataclass(frozen=True)
-class StrongCoverEstimate:
-    """Fraction of fixed-length walks that covered the whole graph."""
-
-    length: int
-    trials: int
-    seed: int
-    pool: tuple[int, ...]
-    starts: np.ndarray
-    cover_steps: np.ndarray
-    covered: int
-    fraction: float
-    ci_low: float
-    ci_high: float
-    ci_level: float
-
-
-def strong_cover_estimate(g: Graph, length: int, trials: int, seed: int
-                          ) -> StrongCoverEstimate:
-    """Estimate P(walk of ``length`` steps covers G), round-robin over the
-    start pool, one stream per trial, with a 95% exact binomial interval."""
-    if trials < 1:
-        raise GraphError("trials must be >= 1")
-    _check_length(length)
-    _require_connected(g)
-    pool = start_pool(g, seed)
-    starts, steps = cover_trials(g, seed, 0, trials, length,
-                                 [pool[trial % len(pool)] for trial in range(trials)])
-    covered = int((steps >= 0).sum())
-    lo, hi = exact_binomial_ci(covered, trials, 0.95)
-    return StrongCoverEstimate(
-        length=length, trials=trials, seed=seed, pool=pool,
-        starts=starts, cover_steps=steps, covered=covered,
-        fraction=covered / trials, ci_low=lo, ci_high=hi, ci_level=0.95,
-    )
-
-
-# ---------------------------------------------------------------------------
 # one walk's statistics
 # ---------------------------------------------------------------------------
 
@@ -699,39 +555,6 @@ def cover_stats(g: Graph, start: int, length: int, seed: int,
         cover_step=None if cover < 0 else cover,
         blanket_steps=blankets if deltas else {}, min_visits=mn,
         max_visits=int(visits.max()), min_visit_ratio=ratio,
-    )
-
-
-# ---------------------------------------------------------------------------
-# return probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReturnProbeResult:
-    u: int
-    v: int
-    horizon: int
-    trials: int
-    hits: int
-    estimate: float
-    ci_low: float
-    ci_high: float
-    ci_level: float
-
-
-def return_probe(g: Graph, u: int, v: int, horizon: int, trials: int, seed: int,
-                 ci_level: float = 0.95) -> ReturnProbeResult:
-    """Fraction of ``horizon``-step walks from u that touch v, with an exact
-    binomial confidence interval. Trial i runs on stream ``(seed, i)``."""
-    _check_probe(g, u, v, horizon)
-    if trials < 1:
-        raise GraphError("trials must be >= 1")
-    hits = int(probe_trials(g, seed, 0, trials, u, v, horizon).sum())
-    lo, hi = exact_binomial_ci(hits, trials, ci_level)
-    return ReturnProbeResult(
-        u=u, v=v, horizon=horizon, trials=trials, hits=hits,
-        estimate=hits / trials, ci_low=lo, ci_high=hi, ci_level=ci_level,
     )
 
 

@@ -123,6 +123,14 @@ def test_certify_counterexample():
     assert cert.expansion.exhaustive and cert.joinedness.exhaustive
 
 
+def test_sampled_pass_is_not_certified():
+    """A sampled sweep that finds no violation is evidence, not a proof."""
+    cert = certify_expander(counterexample_expander(16, 2), 2.0, mode="sampled", samples=8)
+    assert cert.expansion.passed and cert.joinedness.passed
+    assert not cert.expansion.exhaustive and not cert.joinedness.exhaustive
+    assert not cert.certified
+
+
 def test_certificate_star_fails():
     cert = certify_expander(star_graph(16), 2.0)
     assert not cert.certified

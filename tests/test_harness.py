@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from tracelab import BudgetError
-from tracelab import cover_time_empirical, cycle_graph, generate, harness
+from tracelab import (cover_time_empirical, cycle_graph, generate, harness,
+                      return_probe, strong_cover_estimate)
 from tracelab.harness import (COLUMNS, ConfigError, ExperimentConfig,
                               evaluate_checks, load_config, rows_to_csv,
                               run_experiment, summarize, write_result)
@@ -82,7 +83,7 @@ def test_param_validation():
 
 
 VALID_PARAMS = {"return_probe": {"horizon": 5}, "trace_hamilton": {}, "tau": {},
-                "counterexample": {}}
+                "counterexample": {}, "cover": {}}
 COUNTEREXAMPLE = {"family": "counterexample", "n": 20, "c": 3}
 
 
@@ -106,6 +107,13 @@ COUNTEREXAMPLE = {"family": "counterexample", "n": 20, "c": 3}
     ("trace_hamilton", {"max_rotations": -5}),
     ("tau", {"checker_budget": 0}),
     ("tau", {"checker_budget": -7}),
+    # vertices must lie in the graph (n = 12, or 20 for counterexample)
+    ("return_probe", {"u": 12}),
+    ("return_probe", {"v": -1}),
+    ("tau", {"start": 12}),
+    ("counterexample", {"start": 20}),
+    ("cover", {"start": 12}),
+    ("cover", {"start": -1}),
 ])
 def test_probe_and_search_params_rejected_at_parse(experiment, bad):
     data = dict(BASE, experiment=experiment, params=VALID_PARAMS[experiment])
@@ -114,7 +122,7 @@ def test_probe_and_search_params_rejected_at_parse(experiment, bad):
     if experiment == "counterexample":
         data["graph"] = COUNTEREXAMPLE
     ExperimentConfig.from_dict(data)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=rf"params\.{next(iter(bad))}\b"):
         ExperimentConfig.from_dict(dict(data, params={**data["params"], **bad}))
 
 
@@ -268,6 +276,45 @@ def test_worst_start_never_covered_ranks_worst():
     assert math.isnan(cs.worst_mean)
     fails = evaluate_checks(res.stats, {"max_worst_start_mean": 1e9})
     assert fails == ["max_worst_start_mean: summary has no field 'worst_start_mean'"]
+
+
+def test_estimators_equal_the_harness_kinds():
+    """cover_time_empirical, strong_cover_estimate and return_probe give what
+    run_experiment gives for the cover, strong_cover and return_probe kinds,
+    on a graph large enough (n > 200) for worst start to sample its pool."""
+    graph = {"family": "random_regular", "n": 300, "d": 4, "seed": 0}
+    g = generate.random_regular(300, 4, 0)
+
+    def run(**overrides):
+        res = run_experiment(cfg_with(graph=graph, seed=5, **overrides), workers=1)
+        cols = {name: [row[i] for row in res.rows] for i, name in enumerate(res.columns)}
+        return cols, res.stats
+
+    def steps(col):
+        return [-1 if s is None else s for s in col]
+
+    for worst in (True, False):
+        cs = cover_time_empirical(g, 3 if worst else 40, 5, worst_start=worst)
+        cols, stats = run(trials=3 if worst else 40, params={"worst_start": worst})
+        assert cs.starts.tolist() == cols["start"]
+        assert cs.cover_steps.tolist() == steps(cols["cover_step"])
+        assert (cs.censored, cs.mean, cs.stderr, cs.smallest, cs.largest) == (
+            stats["censored"], stats["mean"], stats["stderr"], stats["min"], stats["max"])
+        if worst:
+            assert len(cs.pool) == 32 and len(cols["start"]) == 32 * 3
+            assert (cs.worst_start, cs.worst_mean) == (stats["worst_start"],
+                                                       stats["worst_start_mean"])
+    est = strong_cover_estimate(g, 6000, 64, 5)
+    cols, stats = run(experiment="strong_cover", trials=64, walk={"steps": 6000})
+    assert est.starts.tolist() == cols["start"]
+    assert est.cover_steps.tolist() == steps(cols["cover_step"])
+    assert (est.covered, est.fraction, est.ci_low, est.ci_high) == (
+        stats["covered"], stats["fraction"], stats["ci_low"], stats["ci_high"])
+    probe = return_probe(g, 0, 1, 300, 500, 5, ci_level=0.99)
+    cols, stats = run(experiment="return_probe", trials=500,
+                      params={"u": 0, "v": 1, "horizon": 300})
+    assert (probe.hits, probe.estimate, probe.ci_low, probe.ci_high) == (
+        stats["hits"], stats["estimate"], stats["ci99_low"], stats["ci99_high"])
 
 
 def test_fixed_graph_and_start_pool_built_once(monkeypatch):
