@@ -8,7 +8,8 @@ the walks (``walk_stats``, the path kernel ``walk_trace``,
 as their twins in :mod:`tracelab._twins` instead (``_accel.kernel`` swaps
 them in). From ``_twins.BLOCK_MIN`` draws on, the draw, shuffle and path
 twins draw their raw outputs in numpy blocks and replay the scalar loop
-whenever a draw would be rejected. Only the expander-mixing pair scan runs
+whenever a draw would be rejected, and the shuffle twin applies its swaps
+as one numpy permutation. Only the expander-mixing pair scan runs
 this source on numpy scalars. Integer-valued kernels (walks, shuffles,
 searches) are bit-identical on every path, and so is ``stream_floats``,
 which converts ``draw_uints`` outputs.

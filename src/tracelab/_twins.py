@@ -15,18 +15,28 @@ Block draws. From ``BLOCK_MIN`` draws on, ``draw_uints``, ``draw_ints``,
 ``shuffle_ints`` and ``walk_trace`` take their raw outputs from ``_block``,
 which runs the one stream as numpy sub-lanes at fixed offsets (a GF(2) jump
 ahead), steps them in place, up to ``_WIDE_DRAWS`` outputs in one pass, and
-returns exactly what the scalar loop would draw. A bounded draw redraws an
-output below its rejection threshold, which moves every later draw, so
-when any block output falls below the largest threshold of the draws it
-feeds, the twin discards the block and replays its scalar loop from the
-saved state. Each of the 9 jump tables is built when a pass first needs
-it, not at import. ``walk_stats``, ``hit_within_count`` and
+returns exactly what the scalar loop would draw. A lone stream's sub-lanes
+are 8, 16 or 32 steps long, the shortest of which ``_WIDE_LANES`` cover the
+draw, so a short draw takes fewer steps of more sub-lanes. A bounded draw
+redraws an output below its rejection threshold, which moves every later
+draw, so when any block output falls below the largest threshold of the
+draws it feeds, the twin discards the block and replays its scalar loop
+from the saved state. The jump tables are indexed by the log2 of their jump
+length, 3 to 13 (11 tables, 8 to 8192 steps), and each is built when a pass
+first needs it, not at import. ``walk_stats``, ``hit_within_count`` and
 ``posa_cycle`` stop early, so they draw one output at a time.
 
-``_block`` also takes many streams at once, one per column of a
-uint64[4, L] state, and gives each its next k outputs: the lockstep cover
-and probe lanes of :mod:`tracelab.walks` draw their walk steps that way,
-with the same floor check and a step-at-a-time fallback.
+Shuffles. Below ``BLOCK_MIN`` draws ``shuffle_ints`` runs the Fisher-Yates
+swap loop on a list. From there on it keeps every step's pick in one array
+and resolves the swaps with numpy (``_swap_order``). Step k swaps positions
+k and picks[k] <= k, and no later step touches position k, so position k
+ends with what position picks[k] held when step k ran: what the last step
+to run before it with the same pick, the least such step j > k, brought in,
+else the starting value. Step j brought in what position j held when it ran:
+what the least step that picks j brought in (all such steps are above j,
+as picks[j] < j), else the starting value. Each link climbs, so pointer
+doubling follows every chain at once, and one gather applies the result,
+element for element the loop's.
 
 ``_accel.kernel`` puts a twin in place of its namesake at import when numba
 is off; the numba path compiles the ``_kernels`` source and never calls
@@ -74,20 +84,25 @@ def _randint(s: list, n: int) -> int:
 
 # Block draws. The xoshiro256++ state transition T is linear over GF(2), so
 # T^k is a 256 x 256 bit matrix for every k. _block runs each stream it is
-# given as sub-lanes that start _LANE_STEPS steps apart: sub-lane j starts at
-# T^(j * _LANE_STEPS) s, so its next _LANE_STEPS outputs are the stream's
-# outputs from j * _LANE_STEPS on. Sub-lane starts are doubled from s through
-# _jumps(k), the matrix of T^(_LANE_STEPS * 2**k) stored as one XOR table
-# per 4-bit nibble of the state: a state's image is the XOR of its 64
-# nibbles' rows. _steps moves every sub-lane one step with 12 in-place ufunc
-# calls on preallocated rows, its outputs written straight into the result.
+# given as sub-lanes that start L steps apart: sub-lane j starts at
+# T^(j * L) s, so its next L outputs are the stream's outputs from j * L on.
+# L is _LANE_STEPS for several streams; a lone stream takes the shortest of
+# 8, 16 and 32 whose _WIDE_LANES sub-lanes cover its draw, since a pass costs
+# L steps of 12 ufunc calls and only a doubling more per twice the sub-lanes.
+# Sub-lane starts are doubled from s through _jumps(e), the matrix of
+# T^(2**e) stored as one XOR table per 4-bit nibble of the state: a state's
+# image is the XOR of its 64 nibbles' rows. A pass of 2**k sub-lanes uses
+# e = log2(L) .. log2(L) + k - 1, so e runs from 3 to 13. _steps moves every
+# sub-lane one step with 12 in-place ufunc calls on preallocated rows, its
+# outputs written straight into the result.
 _LANE_STEPS = 32
 # sub-lanes per stream and pass of several streams; columns per table gather
 _MAX_LANES = 128
 _PASS_DRAWS = _MAX_LANES * _LANE_STEPS
-# a lone stream's sub-lanes per pass, which 9 jump tables reach
+# a lone stream's sub-lanes per pass, and their shortest length
 _WIDE_LANES = 512
 _WIDE_DRAWS = _WIDE_LANES * _LANE_STEPS
+_SHORT_STEPS = 8
 # Draw counts from here on take _block. Its floor, one pass of a few lanes,
 # took 0.24-0.25 ms on a 2-vCPU x86 machine, where the scalar loop paid
 # 0.6 us per raw output and 0.7 us per bounded draw: about 400 draws.
@@ -149,19 +164,19 @@ def _table(images: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _jumps(k: int) -> np.ndarray:
-    """Nibble table of T^(_LANE_STEPS * 2**k), built when a pass first
-    doubles that far (32 KB): the first by stepping the 256 unit states,
-    each later one by squaring the one before."""
-    if k:
-        prev = _jumps(k - 1)
+def _jumps(e: int) -> np.ndarray:
+    """Nibble table of T^(2**e), e >= 3, built when a pass first jumps that
+    far (32 KB): T^8 by stepping the 256 unit states, each later one by
+    squaring the one before."""
+    if 1 << e > _SHORT_STEPS:
+        prev = _jumps(e - 1)
         # the unit states' images are the rows of nibble values 1, 2, 4 and 8
         images = _apply(prev, prev.reshape(64, 16, 4)[:, [1, 2, 4, 8]].reshape(256, 4).T)
     else:
         bits = np.arange(256)
         images = np.zeros((4, 256), dtype=np.uint64)
         images[bits // 64, bits] = np.uint64(1) << (bits % 64).astype(np.uint64)
-        _steps(images, np.empty((_LANE_STEPS, 256), dtype=np.uint64))
+        _steps(images, np.empty((_SHORT_STEPS, 256), dtype=np.uint64))
     return _table(images)
 
 
@@ -171,32 +186,40 @@ def _block(s, m: int) -> np.ndarray:
     or a uint64[4] array), drawn as uint64[m], or a uint64[4, L] array with
     one state per column, drawn as uint64[m, L].
 
-    A pass draws up to ``_PASS_DRAWS`` outputs of every column, or
-    ``_WIDE_DRAWS`` of a lone one: the column becomes up to ``_MAX_LANES``
-    (``_WIDE_LANES``) sub-lanes ``_LANE_STEPS`` steps apart, all stepped
-    ``_LANE_STEPS`` times at once. The last sub-lane may feed fewer steps;
-    its state after them is where the column's next pass starts."""
+    A pass draws up to ``_PASS_DRAWS`` outputs of every column: the column
+    becomes up to ``_MAX_LANES`` sub-lanes ``_LANE_STEPS`` steps apart, all
+    stepped ``_LANE_STEPS`` times at once. A lone column takes up to
+    ``_WIDE_LANES`` sub-lanes of 8, 16 or 32 steps, the shortest that cover
+    ``m`` in one pass, and up to ``_WIDE_DRAWS`` outputs a pass. The last
+    sub-lane may feed fewer steps; its state after them is where the
+    column's next pass starts."""
     cur = np.array(s, dtype=np.uint64)
     shape = cur.shape
     cur = cur.reshape(4, -1)
     cols = cur.shape[1]
-    per_pass = (_WIDE_LANES if cols == 1 else _MAX_LANES) * _LANE_STEPS
-    out = np.empty((-(-m // _LANE_STEPS) * _LANE_STEPS, cols), dtype=np.uint64)
+    steps = _LANE_STEPS
+    if cols == 1:
+        steps = _SHORT_STEPS
+        while steps < _LANE_STEPS and steps * _WIDE_LANES < m:
+            steps *= 2
+    per_pass = (_WIDE_LANES if cols == 1 else _MAX_LANES) * steps
+    log = steps.bit_length() - 1
+    out = np.empty((-(-m // steps) * steps, cols), dtype=np.uint64)
     done = 0
     while done < m:
         count = min(m - done, per_pass)
-        subs = -(-count // _LANE_STEPS)
+        subs = -(-count // steps)
         # column j * cols + c is sub-lane j of stream c
         lanes = np.empty((4, subs * cols), dtype=np.uint64)
         lanes[:, :cols] = cur
         for k in range((subs - 1).bit_length()):
             more = lanes[:, cols << k:cols << (k + 1)]
-            more[:] = _apply(_jumps(k), lanes[:, :more.shape[1]])
-        # step t of sub-lane j is output row done + j * _LANE_STEPS + t
-        rows = out[done:done + subs * _LANE_STEPS].reshape(subs, _LANE_STEPS, cols)
+            more[:] = _apply(_jumps(log + k), lanes[:, :more.shape[1]])
+        # step t of sub-lane j is output row done + j * steps + t
+        rows = out[done:done + subs * steps].reshape(subs, steps, cols)
         lanes = lanes.reshape(4, subs, cols)
         rows = rows.transpose(1, 0, 2)
-        last = count - (subs - 1) * _LANE_STEPS
+        last = count - (subs - 1) * steps
         _steps(lanes, rows[:last])
         cur = lanes[:, -1].copy()
         _steps(lanes, rows[last:])
@@ -245,23 +268,57 @@ def draw_ints(state, bound, count):
 
 
 def shuffle_ints(arr, state):
-    a = arr.tolist()
-    i = len(a) - 1
+    size = len(arr)
+    if size - 1 < BLOCK_MIN:
+        a = arr.tolist()
+        s = state.tolist()
+        for k in range(size - 1, 0, -1):
+            j = _randint(s, k + 1)
+            a[k], a[j] = a[j], a[k]
+        state[:] = s
+        arr[:] = a
+        return
+    # picks[k] is the position step k swaps with; step 0 swaps 0 with itself
+    picks = np.zeros(size, dtype=np.int64)
+    i = size - 1
     while i > 0:
-        # draws for positions i down to i - count + 1, one pass at a time, so
-        # few picks are held as Python ints; every bound is at most i + 1
+        # draws for steps i down to i - count + 1, one pass at a time; every
+        # bound is at most i + 1
         count = min(i, _WIDE_DRAWS)
         raw = _unrejected(state, count, i + 1)
         if raw is None:
             s = state.tolist()
-            picks = [_randint(s, k + 1) for k in range(i, i - count, -1)]
+            picks[i:i - count:-1] = [_randint(s, k + 1) for k in range(i, i - count, -1)]
             state[:] = s
         else:
-            picks = (raw % np.arange(i + 1, i + 1 - count, -1, dtype=np.uint64)).tolist()
-        for k, j in zip(range(i, i - count, -1), picks):
-            a[k], a[j] = a[j], a[k]
+            picks[i:i - count:-1] = raw % np.arange(i + 1, i + 1 - count, -1, dtype=np.uint64)
         i -= count
-    arr[:] = a
+    arr[:] = arr[_swap_order(picks)]
+
+
+def _swap_order(picks):
+    """``perm`` with ``arr[perm]`` what the swap loop leaves in ``arr`` when
+    step k swaps positions k and picks[k] (see Shuffles above)."""
+    size = picks.size
+    order = np.argsort(picks * size + np.arange(size))
+    grouped = picks[order]
+    # order[r + 1] is the least step above order[r] with its pick
+    same = np.flatnonzero(grouped[1:] == grouped[:-1])
+    # value_at[j] links j to the least step that picks j; chased to its end,
+    # it is where the value position j held when step j ran started
+    heads = np.flatnonzero(np.diff(grouped, prepend=-1))
+    value_at = np.arange(size)
+    value_at[grouped[heads]] = order[heads]
+    # freed before the doubling, which holds the most arrays at once
+    del grouped, heads
+    while True:
+        further = value_at[value_at]
+        if np.array_equal(further, value_at):
+            break
+        value_at = further
+    perm = picks.copy()
+    perm[order[same]] = value_at[order[same + 1]]
+    return perm
 
 
 def walk_stats(indptr, indices, start, length, delta, stop_mode, state, visits):

@@ -85,6 +85,13 @@ def _graph_from_args(args) -> Graph:
     return GenSpec.from_dict(data).build()
 
 
+def _check_start(start: int | None, g: Graph) -> None:
+    """Refuse a ``--start`` that is not a vertex of ``g``, naming the flag
+    as the harness names ``params.start``."""
+    if start is not None and not 0 <= start < g.n:
+        raise ConfigError(f"--start must be >= 0 and < n = {g.n}")
+
+
 def _build_parser() -> _Parser:
     root = _Parser(prog="trace-lab", description=__doc__.splitlines()[0])
     sub = root.add_subparsers(dest="command", required=True)
@@ -209,17 +216,21 @@ def _run(args) -> int:
         g = _graph_from_args(args)
         mode, k = _parse_mode(args.mode)
         report = expander_mixing_check(g, args.lam, mode=mode, samples=k, seed=args.seed)
-        _dump({**dataclasses.asdict(report), "passed": report.passed})
+        # a sampled pass is evidence, not a proof: label which kind passed is
+        evidence = "exhaustive" if mode == "exact" else "sampled"
+        _dump({**dataclasses.asdict(report), "passed": report.passed, "evidence": evidence})
         return 0
 
     if args.command == "walk":
         g = _graph_from_args(args)
+        _check_start(args.start, g)
         deltas = tuple(args.delta) if args.delta else (0.1,)
         _dump(cover_stats(g, args.start, args.steps, args.seed, deltas=deltas))
         return 0
 
     if args.command == "cover":
         g = _graph_from_args(args)
+        _check_start(args.start, g)
         cs = cover_time_empirical(g, args.trials, args.seed,
                                   worst_start=args.worst_start,
                                   start=args.start, budget=args.budget)
@@ -255,6 +266,7 @@ def _run(args) -> int:
                 res = hamiltonian_posa(g, args.seed, max_rotations=args.budget)
             _dump(res)
             return 0
+        _check_start(args.start, g)
         _dump(tau_times(g, args.start, args.walk_length, args.seed,
                         checker_budget=args.checker_budget))
         return 0

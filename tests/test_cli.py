@@ -326,10 +326,11 @@ CHECK_KEYS = {"kind", "c", "passed", "mode", "set_size", "checked", "exhaustive"
       "mixing_bound", "convention", "lower_in_band", "upper_in_band"}, {"lambda": 4.0}),
     (("mixing", "--family", "petersen", "--lam", "2"),
      {"mode", "single_max_ratio", "pair_max_ratio", "singles_checked", "pairs_checked",
-      "violations", "slack", "passed"}, {"passed": True}),
+      "violations", "slack", "passed", "evidence"},
+     {"passed": True, "evidence": "exhaustive"}),
     (("mixing", "--family", "petersen", "--lam", "2", "--mode", "sampled:4"),
      {"mode", "single_max_ratio", "pair_max_ratio", "singles_checked", "pairs_checked",
-      "violations", "slack", "passed"}, {"mode": "sampled"}),
+      "violations", "slack", "passed", "evidence"}, {"mode": "sampled", "evidence": "sampled"}),
     (("hamilton", "certify", "--family", "cycle", "--n", "12", "--cert-c", "2"),
      {"c", "certified", "expansion", "joinedness"}, {"certified": False}),
     (("hamilton", "cycle", "--family", "petersen"),
@@ -391,6 +392,22 @@ def test_options_with_no_effect_or_no_search_exit_one(capsys, argv):
     leaves no search, ends in an error line instead of a result."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cover", "--family", "complete", "--n", "5", "--trials", "2", "--seed", "1",
+     "--start", "99"),
+    ("walk", "--family", "complete", "--n", "5", "--steps", "20", "--seed", "1",
+     "--start", "-1"),
+    ("hamilton", "tau", "--family", "complete", "--n", "5", "--walk-length", "50",
+     "--seed", "1", "--start", "5"),
+], ids=["cover", "walk", "tau"])
+def test_start_not_a_vertex_names_the_flag(capsys, argv):
+    """A --start outside 0..n - 1 ends in an error line that names the flag
+    and n, as the harness names params.start."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "--start" in err and "n = 5" in err
 
 
 @pytest.mark.parametrize("argv", [

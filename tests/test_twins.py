@@ -142,10 +142,53 @@ def test_draw_ints_rejection_path(monkeypatch):
         both("draw_ints", state, bound, 40)
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 7, BLOCK_MIN, BLOCK_MIN + 1, 8000])
-def test_shuffle(size):
-    stubs = np.repeat(np.arange(500, dtype=np.int64), 16)[:size]
+# stubs of 500 values 16 times each, as the pairing model shuffles them, and
+# distinct values, where a wrong permutation cannot hide behind repeats
+SHUFFLES = ([(size, False) for size in (0, 1, 2, 7, BLOCK_MIN, BLOCK_MIN + 1, 8000)]
+            + [(3, True), (16_000, True)])
+
+
+@pytest.mark.parametrize("size, distinct", SHUFFLES,
+                         ids=[f"distinct-{s}" if d else str(s) for s, d in SHUFFLES])
+def test_shuffle(size, distinct):
+    stubs = (np.arange(size, dtype=np.int64) if distinct
+             else np.repeat(np.arange(500, dtype=np.int64), 16)[:size])
     both("shuffle_ints", stubs, K.stream_state(3, 0))
+
+
+def swap_loop(picks):
+    a = list(range(picks.size))
+    for k in range(picks.size - 1, 0, -1):
+        j = int(picks[k])
+        a[k], a[j] = a[j], a[k]
+    return a
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 400, 5000])
+def test_swap_order_is_the_swap_loop(size):
+    """The numpy resolution of the swaps against the loop it replaces, on
+    picks that chain every position, none, one step back, and at random."""
+    steps = np.arange(size, dtype=np.int64)
+    rng = np.random.default_rng(size)
+    for picks in (np.zeros(size, dtype=np.int64), steps, np.maximum(steps - 1, 0),
+                  rng.integers(0, steps + 1)):
+        assert _twins._swap_order(picks).tolist() == swap_loop(picks)
+
+
+def test_shuffle_mixes_scalar_and_block_passes(monkeypatch):
+    """40,000 stubs take three passes; the second replays its scalar loop
+    while the first and the third come from blocks, and the one pick array
+    they fill must still give the source's shuffle."""
+    real = _twins._unrejected
+    calls = []
+
+    def second_rejected(state, count, floor):
+        calls.append(count)
+        return None if len(calls) == 2 else real(state, count, floor)
+
+    monkeypatch.setattr(_twins, "_unrejected", second_rejected)
+    both("shuffle_ints", np.arange(40_000, dtype=np.int64), K.stream_state(14, 0))
+    assert len(calls) == 3 and calls[1] >= BLOCK_MIN
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -279,8 +322,10 @@ def test_ham_dp(g, hamiltonian):
 
 
 # a lone stream's pass is _WIDE_DRAWS outputs: one short of it, exactly one,
-# one past it and several passes
-WIDE_COUNTS = [_twins._WIDE_DRAWS - 1, _twins._WIDE_DRAWS, _twins._WIDE_DRAWS + 1, 40_000]
+# one past it and several passes; and either side of the draws where its
+# sub-lanes grow from 8 to 16 and from 16 to 32 steps
+WIDE_COUNTS = [_twins._WIDE_DRAWS - 1, _twins._WIDE_DRAWS, _twins._WIDE_DRAWS + 1, 40_000,
+               4095, 4096, 4097, 8191, 8192, 8193]
 
 
 @pytest.mark.parametrize("m", WIDE_COUNTS)
